@@ -7,6 +7,7 @@ from .errors import (
     EmptySupportError,
     EmptySystem,
     InvalidVector,
+    InvariantError,
     KindError,
     NncPolyError,
     ParseError,
@@ -14,8 +15,9 @@ from .errors import (
     StaleIdError,
 )
 from .formats import emit_ext, emit_ine, parse_ext, parse_ine
+from .oracle import alpha, gamma
 from .polyhedron import NncPolyhedron
-from .satlat import alpha, gamma, minimal_family
+from .satlat import minimal_family
 from .systems import ConKind, Constraint, Generator, GenKind
 
 __all__ = [
@@ -36,6 +38,7 @@ __all__ = [
     "DimensionError",
     "CombineError",
     "KindError",
+    "InvariantError",
     "EmptySystem",
     "StaleIdError",
     "EmptySupportError",

@@ -6,15 +6,15 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from . import eps
 from .bench import bench_dual_hypercube
 from .counting import OpCounters
-from .errors import NncPolyError, ParseError
+from .errors import InvariantError, NncPolyError, ParseError
 from .formats import emit_ext, emit_ine, parse_ext, parse_ine
 from .polyhedron import NncPolyhedron
-from .stats import record_from_counters
 
 
 def _sniff(text: str) -> str:
@@ -60,16 +60,17 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         sys.stdout.write(out_text)
     if args.stats:
         counters = ctx.counters if ctx is not None else OpCounters()
-        rec = record_from_counters(
-            counters,
-            direction=direction,
-            dim=dim,
-            rows_in=rows_in,
-            rows_out=len(rows),
-            supports_out=len(ctx.ns) if ctx is not None else 0,
-            wall_seconds=wall,
-        )
-        Path(args.stats).write_text(rec.to_json())
+        record = {
+            "direction": direction,
+            "dim": dim,
+            "rows_in": rows_in,
+            "rows_out": len(rows),
+            "supports_out": len(ctx.ns) if ctx is not None else 0,
+            **asdict(counters),
+            "max_size": max(counters.sizes, default=0),
+            "wall_seconds": wall,
+        }
+        Path(args.stats).write_text(json.dumps(record, indent=2) + "\n")
     return 0
 
 
@@ -160,9 +161,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"nncdd: {exc}", file=sys.stderr)
-        return 2
+    except InvariantError as exc:
+        print(f"nncdd: internal invariant broken: {exc}", file=sys.stderr)
+        return 3
     except (NncPolyError, OSError) as exc:
         print(f"nncdd: {exc}", file=sys.stderr)
         return 2

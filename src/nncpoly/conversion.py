@@ -18,12 +18,12 @@ cuts the empty face, which keeps closure points and strict rows honest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Sequence
 
 from .counting import OpCounters
-from .errors import DimensionError, EmptySystem, KindError, StaleIdError
+from .errors import DimensionError, EmptySystem, InvariantError, KindError, StaleIdError
 from .homvec import Row, combine_with_products, eliminate, normalize, scalar_prod
 from .satlat import (
     Region,
@@ -74,6 +74,7 @@ class _Split:
     pos: set[int]
     zero: set[int]
     neg: set[int]
+    adjacent_pairs: set[tuple[int, int]] = field(default_factory=set)
 
 
 @dataclass
@@ -122,12 +123,7 @@ class ConvCtx:
         self.sat.bits.clear()
 
     def clone(self) -> "ConvCtx":
-        counters = OpCounters(
-            vec_ops=self.counters.vec_ops,
-            sat_ops=self.counters.sat_ops,
-            iterations=self.counters.iterations,
-            sizes=list(self.counters.sizes),
-        )
+        counters = replace(self.counters, sizes=list(self.counters.sizes))
         sat = SatMatrix(counters=counters, ncols=self.sat.ncols, bits=dict(self.sat.bits))
         out = ConvCtx(
             dim=self.dim,
@@ -199,7 +195,8 @@ def combine_adjacent(ctx: ConvCtx, role: Role, split: _Split) -> list[int]:
     """Combine every adjacent positive/negative pair onto the new hyperplane.
 
     New elements join the zero part with an eagerly computed saturation row
-    (the AND of the parents; the new column is appended by the caller).
+    (the AND of the parents; the new column is appended by the caller).  The
+    adjacent pairs are recorded on the split for ``create_ns``.
     """
     witnesses = sorted(split.pos | split.zero | split.neg)
     new_ids: list[int] = []
@@ -207,6 +204,7 @@ def combine_adjacent(ctx: ConvCtx, role: Role, split: _Split) -> list[int]:
         for m in sorted(split.neg):
             if not adjacent(ctx.sat, p, m, witnesses):
                 continue
+            split.adjacent_pairs.add((p, m))
             combined = combine_with_products(
                 ctx.elems[p].row, ctx.elems[m].row, split.sps[p], split.sps[m]
             )
@@ -272,7 +270,9 @@ def create_ns(
     Crossing faces are found from point-like elements and existing supports
     on the going-away side, extended one soft element at a time into the
     kept side; a strict cut additionally stretches boundary faces into the
-    open side, and a sign-free row looks both ways.
+    open side, and a sign-free row looks both ways.  On the constraint side a
+    strict row about to go also stretches to each kept strict row it is not
+    adjacent to.
     """
 
     def hard_singletons(ids: set[int]) -> list[frozenset[int]]:
@@ -284,9 +284,8 @@ def create_ns(
     soft_pos = [i for i in sorted(split.pos) if ctx.elems[i].role is Role.SOFT]
     soft_neg = [i for i in sorted(split.neg) if ctx.elems[i].role is Role.SOFT]
 
-    out = enumerate_faces(
-        ctx, hard_singletons(split.neg) + supports(Region.NEG), soft_pos, role, split
-    )
+    hard_neg = hard_singletons(split.neg)
+    out = enumerate_faces(ctx, hard_neg + supports(Region.NEG), soft_pos, role, split)
     if role in (Role.SOFT, Role.SINGULAR):
         out |= enumerate_faces(
             ctx, hard_singletons(split.pos) + supports(Region.POS), soft_neg, role, split
@@ -295,6 +294,17 @@ def create_ns(
         out |= enumerate_faces(
             ctx, hard_singletons(split.zero) + supports(Region.ZERO), soft_pos, role, split
         )
+    if ctx.producing is Side.CON:
+        # Two strict rows on opposite sides that are not adjacent meet in a
+        # face no soft extension reaches (a closure point can cut the vertex
+        # where they cross).  Adjacent pairs need nothing: their hard
+        # combination already excludes that face.
+        hard_pos = [i for i in sorted(split.pos) if ctx.elems[i].role is Role.HARD]
+        for seed in hard_neg:
+            (m,) = seed
+            far = [p for p in hard_pos if (p, m) not in split.adjacent_pairs]
+            if far:
+                out |= enumerate_faces(ctx, [seed], far, role, split)
     return out
 
 
@@ -382,7 +392,7 @@ def _regular(ctx: ConvCtx, role: Role, split: _Split) -> None:
         return  # every element already saturates the row
     if role is Role.HARD and not split.pos:
         if ctx.producing is Side.CON:
-            raise AssertionError("positivity invariant broken: point sees no positive row")
+            raise InvariantError("positivity invariant broken: point sees no positive row")
         ctx.set_empty()
         return
 
@@ -410,7 +420,7 @@ def _regular(ctx: ConvCtx, role: Role, split: _Split) -> None:
 
     if not any(e.role is not Role.SINGULAR for e in ctx.elems.values()):
         if ctx.producing is Side.CON:
-            raise AssertionError("constraint skeleton lost every inequality row")
+            raise InvariantError("constraint skeleton lost every inequality row")
         ctx.set_empty()
 
 
@@ -573,7 +583,7 @@ def emit_generators(ctx: ConvCtx) -> list[Generator]:
     for ns in sorted(ctx.ns, key=sorted):
         filler = materialize_support(ctx, ns)
         if filler[0] <= 0:
-            raise AssertionError(f"support {sorted(ns)} has no position row")
+            raise InvariantError(f"support {sorted(ns)} has no position row")
         pts.append(filler)
     if not pts:
         return []
@@ -616,21 +626,9 @@ def emit_constraints(ctx: ConvCtx) -> list[Constraint]:
 
 
 def atoms(ctx: ConvCtx) -> list[tuple[Row, ...]]:
-    """Inclusion atoms of a generator-side context: every hard point alone
-    plus every support's member rows.  Each names a piece whose relative
-    interior the set includes."""
-    if ctx.producing is not Side.GEN:
-        raise KindError("atoms come from a generator-producing context")
-    out = [(ctx.elems[i].row,) for i in sorted(ctx.hard_ids())]
-    out += [tuple(ctx.row_of(i) for i in sorted(ns)) for ns in sorted(ctx.ns, key=sorted)]
-    return out
-
-
-def ghosts(ctx: ConvCtx) -> list[tuple[Row, ...]]:
-    """Exclusion ghosts of a constraint-side context: every strict row alone
-    plus every support's member rows.  Each names a face the set omits."""
-    if ctx.producing is not Side.CON:
-        raise KindError("ghosts come from a constraint-producing context")
+    """Every hard element alone plus every support's member rows.  On the
+    generator side each names a piece whose relative interior the set
+    includes; on the constraint side, a face the set omits."""
     out = [(ctx.elems[i].row,) for i in sorted(ctx.hard_ids())]
     out += [tuple(ctx.row_of(i) for i in sorted(ns)) for ns in sorted(ctx.ns, key=sorted)]
     return out

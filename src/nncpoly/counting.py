@@ -21,9 +21,3 @@ class OpCounters:
     sat_ops: int = 0
     iterations: int = 0
     sizes: list[int] = field(default_factory=list)
-
-    def merge(self, other: "OpCounters") -> None:
-        self.vec_ops += other.vec_ops
-        self.sat_ops += other.sat_ops
-        self.iterations += other.iterations
-        self.sizes.extend(other.sizes)

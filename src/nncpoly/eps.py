@@ -8,22 +8,20 @@ which models strictness with one extra coordinate: a slack that strict rows
 must leave positive.
 
 The counting discipline matches the direct engine (one vec_op per scalar
-product and per linear combination, saturation work through the same bit
-row container), so operation counts of the two routes are comparable.
+product and per linear combination, saturation work and adjacency through
+the same kernel in ``satlat``), so operation counts of the two routes are
+comparable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
-from . import feasibility
 from .counting import OpCounters
-from .errors import DimensionError, EmptySystem, KindError, ScaleLimitExceeded
+from .errors import DimensionError, EmptySystem, InvariantError, KindError
 from .homvec import Row, combine_with_products, eliminate, normalize, scalar_prod
-from .satlat import SatMatrix
+from .satlat import SatMatrix, adjacent
 from .systems import ConKind, Constraint, GenKind, Generator
 
 
@@ -94,16 +92,6 @@ def closed_point_base(point_row: Row) -> ClosedCone:
     return cone
 
 
-def _adjacent(cone: ClosedCone, a: int, b: int, witnesses: list[int]) -> bool:
-    common = cone.sat.and_rows((a, b))
-    for w in witnesses:
-        if w == a or w == b:
-            continue
-        if cone.sat.covers(w, common):
-            return False
-    return True
-
-
 def closed_add_row(cone: ClosedCone, row: Row, line: bool) -> None:
     """One Chernikova step: saturate a line-like violation if there is one,
     otherwise split, combine adjacent opposite pairs and keep the good side."""
@@ -154,7 +142,7 @@ def closed_add_row(cone: ClosedCone, row: Row, line: bool) -> None:
             witnesses = [eid for eid, e in cone.elems.items() if not e.line]
             for p in pos:
                 for m in neg:
-                    if not _adjacent(cone, p, m, witnesses):
+                    if not adjacent(cone.sat, p, m, witnesses):
                         continue
                     combined = combine_with_products(
                         cone.elems[p].row, cone.elems[m].row, sps[p], sps[m]
@@ -168,7 +156,7 @@ def closed_add_row(cone: ClosedCone, row: Row, line: bool) -> None:
                 cone.drop(eid)
             if not any(not e.line for e in cone.elems.values()):
                 if not cone.gen_side:
-                    raise AssertionError("closed cone lost every inequality row")
+                    raise InvariantError("closed cone lost every inequality row")
                 cone.set_empty()
                 cone.counters.sizes.append(0)
                 return
@@ -359,50 +347,3 @@ def eps_c2g(constraints: Sequence[Constraint]) -> tuple[list[Generator], ClosedC
 def eps_g2c(generators: Sequence[Generator]) -> tuple[list[Constraint], ClosedCone]:
     cone = closed_g2c(eps_encode_generators(generators))
     return eps_decode_constraints(closed_constraints(cone)), cone
-
-
-# -- brute-force face enumeration ----------------------------------------
-
-_MAX_ROWS = 10
-_MAX_DIM = 3
-
-
-def enumerate_faces_bruteforce(constraints: Sequence[Constraint]) -> set[frozenset[int]]:
-    """Nonempty faces of the closed polyhedron, each named by the full set of
-    row indices it saturates.  Exponential on purpose; desk scale only."""
-    cs = list(constraints)
-    if not cs:
-        raise EmptySystem("no rows")
-    if len(cs) > _MAX_ROWS or cs[0].dim > _MAX_DIM:
-        raise ScaleLimitExceeded(
-            f"brute-force faces are desk-scale only (rows<={_MAX_ROWS}, dim<={_MAX_DIM})"
-        )
-    nvars = cs[0].dim
-    base = []
-    for c in cs:
-        rel = "eq" if c.kind is ConKind.EQUALITY else "ge"
-        base.append(
-            (tuple(Fraction(a) for a in c.row[1:]), Fraction(c.row[0]), rel)
-        )
-
-    faces: set[frozenset[int]] = set()
-    idx = range(len(cs))
-    for k in range(len(cs) + 1):
-        for combo in combinations(idx, k):
-            forced = set(combo)
-            rows = [
-                (coeffs, const, "eq" if i in forced else rel)
-                for i, (coeffs, const, rel) in enumerate(base)
-            ]
-            if not feasibility.feasible(rows, nvars):
-                continue
-            # a row is part of the face's name iff it cannot leave zero there
-            closure = set(forced)
-            for j in idx:
-                if j in closure:
-                    continue
-                coeffs, const, _ = base[j]
-                if not feasibility.feasible(rows + [(coeffs, const, "gt")], nvars):
-                    closure.add(j)
-            faces.add(frozenset(closure))
-    return faces

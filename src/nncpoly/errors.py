@@ -37,6 +37,10 @@ class ScaleLimitExceeded(NncPolyError):
     """A desk-scale-only helper was invoked beyond its documented size bounds."""
 
 
+class InvariantError(NncPolyError):
+    """An engine's internal invariant broke; the result cannot be trusted."""
+
+
 class ParseError(NncPolyError):
     """A polyhedron file could not be parsed; carries a 1-based line number."""
 

@@ -11,6 +11,8 @@ marker lines are 1-based.
 
 from __future__ import annotations
 
+from enum import Enum
+
 from .errors import ParseError
 from .systems import ConKind, Constraint, GenKind, Generator
 
@@ -167,38 +169,26 @@ def parse_ext(text: str) -> tuple[list[Generator], int]:
     return out, dim
 
 
-def _indices(flags: list[bool]) -> str:
-    idx = [str(i) for i, f in enumerate(flags, start=1) if f]
-    return f"{len(idx)} " + " ".join(idx) if idx else ""
+def _emit(header: str, rows: list, dim: int, markers: tuple[tuple[str, Enum], ...]) -> str:
+    """Common file skeleton: header, one marker line per kind that occurs,
+    begin, size line, rows, end."""
+    lines = [header]
+    for name, kind in markers:
+        idx = [str(i) for i, r in enumerate(rows, start=1) if r.kind is kind]
+        if idx:
+            lines.append(f"{name} {len(idx)} " + " ".join(idx))
+    lines.append("begin")
+    lines.append(f" {len(rows)} {dim + 1} integer")
+    lines += [" " + " ".join(str(x) for x in r.row) for r in rows]
+    lines.append("end")
+    return "\n".join(lines) + "\n"
 
 
 def emit_ine(constraints: list[Constraint], dim: int) -> str:
-    lines = ["H-representation"]
-    lin = _indices([c.kind is ConKind.EQUALITY for c in constraints])
-    if lin:
-        lines.append(f"linearity {lin}")
-    stx = _indices([c.kind is ConKind.STRICT for c in constraints])
-    if stx:
-        lines.append(f"strict {stx}")
-    lines.append("begin")
-    lines.append(f" {len(constraints)} {dim + 1} integer")
-    for c in constraints:
-        lines.append(" " + " ".join(str(x) for x in c.row))
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    markers = (("linearity", ConKind.EQUALITY), ("strict", ConKind.STRICT))
+    return _emit("H-representation", constraints, dim, markers)
 
 
 def emit_ext(generators: list[Generator], dim: int) -> str:
-    lines = ["V-representation"]
-    lin = _indices([g.kind is GenKind.LINE for g in generators])
-    if lin:
-        lines.append(f"linearity {lin}")
-    clo = _indices([g.kind is GenKind.CLOSURE_POINT for g in generators])
-    if clo:
-        lines.append(f"closure {clo}")
-    lines.append("begin")
-    lines.append(f" {len(generators)} {dim + 1} integer")
-    for g in generators:
-        lines.append(" " + " ".join(str(x) for x in g.row))
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    markers = (("linearity", GenKind.LINE), ("closure", GenKind.CLOSURE_POINT))
+    return _emit("V-representation", generators, dim, markers)

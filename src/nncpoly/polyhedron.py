@@ -3,8 +3,10 @@
 A polyhedron keeps up to two conversion contexts: a generator-side one fed
 by constraints and a constraint-side one fed by generators.  Whichever side
 a query needs is built on demand from the other side's emitted system and
-then cached.  Operations never mutate a cached context; incremental work
-always goes through a clone, so polyhedra behave as immutable values.
+then cached, and so is each emitted system.  Operations never mutate a
+cached context or list; incremental work always goes through a clone, and
+the public accessors hand out copies, so polyhedra behave as immutable
+values.
 """
 
 from __future__ import annotations
@@ -20,9 +22,8 @@ from .conversion import (
     conversion_g2c,
     emit_constraints,
     emit_generators,
-    ghosts,
 )
-from .errors import DimensionError, EmptySystem
+from .errors import DimensionError, EmptySystem, InvariantError
 from .homvec import scalar_prod
 from .systems import ConKind, Constraint, GenKind, Generator, con_contains
 
@@ -36,14 +37,18 @@ def _check_dims(items: Iterable[Constraint | Generator], dim: int) -> None:
 class NncPolyhedron:
     """A not necessarily closed convex polyhedron over the rationals."""
 
-    __slots__ = ("dim", "_gen", "_con")
+    __slots__ = ("dim", "_gen", "_con", "_gens", "_cons")
 
     def __init__(self, dim: int, gen_ctx: ConvCtx | None = None, con_ctx: ConvCtx | None = None):
         if dim < 1:
             raise DimensionError("dimension must be at least 1")
+        if gen_ctx is None and con_ctx is None:
+            raise EmptySystem("a polyhedron needs a context to build its views from")
         self.dim = dim
         self._gen = gen_ctx
         self._con = con_ctx
+        self._gens: list[Generator] | None = None  # emitted from _gen
+        self._cons: list[Constraint] | None = None  # emitted from _con
 
     # -- construction -----------------------------------------------------
 
@@ -87,38 +92,49 @@ class NncPolyhedron:
         if self._gen is None:
             # only reachable for polyhedra built from generators, which are
             # never empty (they held a point)
-            self._gen = conversion_c2g(emit_constraints(self._con), dim=self.dim)
+            self._gen = conversion_c2g(self._constraint_view(), dim=self.dim)
         return self._gen
 
     def con_ctx(self) -> ConvCtx | None:
         """Constraint-side context, or None for the empty polyhedron."""
         if self._con is None:
-            gens = emit_generators(self._gen)
+            gens = self._generator_view()
             if not gens:
                 return None
             self._con = conversion_g2c(gens)
         return self._con
 
+    def _generator_view(self) -> list[Generator]:
+        if self._gens is None:
+            self._gens = emit_generators(self.gen_ctx())
+        return self._gens
+
+    def _constraint_view(self) -> list[Constraint]:
+        if self._cons is None:
+            ctx = self.con_ctx()
+            if ctx is None:
+                self._cons = [Constraint((-1,) + (0,) * self.dim, ConKind.NONSTRICT)]
+            else:
+                self._cons = emit_constraints(ctx)
+        return self._cons
+
     def generators(self) -> list[Generator]:
-        return emit_generators(self.gen_ctx())
+        return list(self._generator_view())
 
     def constraints(self) -> list[Constraint]:
-        ctx = self.con_ctx()
-        if ctx is None:
-            return [Constraint((-1,) + (0,) * self.dim, ConKind.NONSTRICT)]
-        return emit_constraints(ctx)
+        return list(self._constraint_view())
 
     def is_empty(self) -> bool:
         if self._gen is None:
             return False  # built from generators that included a point
-        return not emit_generators(self._gen)
+        return not self._generator_view()
 
     # -- point queries ------------------------------------------------------
 
     def contains_point(self, point: Sequence[Fraction | int]) -> bool:
         if len(point) != self.dim:
             raise DimensionError(f"point of dimension {len(point)}, polyhedron has {self.dim}")
-        return con_contains(self.constraints(), point)
+        return con_contains(self._constraint_view(), point)
 
     # -- comparisons ---------------------------------------------------------
 
@@ -135,8 +151,8 @@ class NncPolyhedron:
             return True
         if self.is_empty():
             return False
-        rows = self.constraints()
-        for g in other.generators():
+        rows = self._constraint_view()
+        for g in other._generator_view():
             for c in rows:
                 s = scalar_prod(c.row, g.row)
                 if c.kind is ConKind.EQUALITY or g.kind is GenKind.LINE:
@@ -147,7 +163,7 @@ class NncPolyhedron:
         con = self.con_ctx()
         if con is None:
             return False
-        excluded = ghosts(con)
+        excluded = atoms(con)
         if not excluded:
             return True
         for piece in atoms(other.gen_ctx()):
@@ -174,7 +190,8 @@ class NncPolyhedron:
                 return NncPolyhedron.empty(self.dim)
             return NncPolyhedron.from_generators(gens)
         ctx = self.con_ctx()
-        assert ctx is not None
+        if ctx is None:
+            raise InvariantError("a nonempty polyhedron has no constraint side")
         return NncPolyhedron(self.dim, con_ctx=conversion_g2c(gens, base=ctx))
 
     def intersect(self, other: "NncPolyhedron") -> "NncPolyhedron":
@@ -182,16 +199,16 @@ class NncPolyhedron:
             raise DimensionError("cannot intersect polyhedra of different dimensions")
         if self.is_empty() or other.is_empty():
             return NncPolyhedron.empty(self.dim)
-        return self.add_constraints(other.constraints())
+        return self.add_constraints(other._constraint_view())
 
     def poly_hull(self, other: "NncPolyhedron") -> "NncPolyhedron":
         if self.dim != other.dim:
             raise DimensionError("cannot hull polyhedra of different dimensions")
         if self.is_empty():
-            return NncPolyhedron(other.dim, gen_ctx=other._gen, con_ctx=other._con)
+            return other
         if other.is_empty():
-            return NncPolyhedron(self.dim, gen_ctx=self._gen, con_ctx=self._con)
-        return self.add_generators(other.generators())
+            return self
+        return self.add_generators(other._generator_view())
 
     def closure(self) -> "NncPolyhedron":
         """Topological closure: the same skeleton with every position row
@@ -200,11 +217,11 @@ class NncPolyhedron:
             return NncPolyhedron.empty(self.dim)
         closed = [
             Generator(g.row, GenKind.POINT) if g.kind is GenKind.CLOSURE_POINT else g
-            for g in self.generators()
+            for g in self._generator_view()
         ]
         return NncPolyhedron.from_generators(closed)
 
     def __repr__(self) -> str:
         if self.is_empty():
             return f"NncPolyhedron.empty({self.dim})"
-        return f"NncPolyhedron(dim={self.dim}, constraints={len(self.constraints())})"
+        return f"NncPolyhedron(dim={self.dim}, constraints={len(self._constraint_view())})"

@@ -1,26 +1,19 @@
-"""Saturation bookkeeping and the face-support lattice.
+"""Saturation bookkeeping and support sets: the kernel both engines share.
 
 Every conversion element carries a saturation row: one bit per opposite-side
 row seen so far, set when the scalar product was zero.  Supports of
 non-skeleton strictness marks are sets of element ids; the helpers here
-close, project, classify and minimize those sets, and the desk-scale
-``alpha``/``gamma`` pair relates support families to the point sets they
-describe.
+close, project, classify and minimize those sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
-from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
-from . import feasibility
 from .counting import OpCounters
-from .errors import EmptySupportError, InvalidVector, ScaleLimitExceeded
-from .homvec import rational_point_row, scalar_prod
-from .systems import ConKind, Constraint, GenKind, Generator, con_contains
+from .errors import EmptySupportError
 
 
 @dataclass
@@ -128,139 +121,10 @@ def nonredundant_union(
     """Union of support families, dropping supports that touch a hard
     (point-like / strict-like) element and supports that include another
     support."""
-    pool = {ns for fam in families for ns in fam if ns and not (ns & hard)}
-    return {ns for ns in pool if not any(other < ns for other in pool)}
-
-
-# --- desk-scale face lattice -------------------------------------------------
-
-_MAX_DIM = 3
-_MAX_SKEL = 8
-_MAX_CONS = 10
-
-
-def _guard(dim: int, nskel: int, ncons: int) -> None:
-    if dim > _MAX_DIM or nskel > _MAX_SKEL or ncons > _MAX_CONS:
-        raise ScaleLimitExceeded(
-            f"face-lattice helpers are desk-scale only (dim<={_MAX_DIM}, "
-            f"skeleton<={_MAX_SKEL}, constraints<={_MAX_CONS})"
-        )
-
-
-def face_supports(
-    skeleton: Sequence[Generator], constraints: Sequence[Constraint]
-) -> set[frozenset[int]]:
-    """All nonempty face supports of the closed polyhedron, as index sets into
-    skeleton, found by brute-force constraint-subset saturation.
-
-    An index set with no position row (rays only) marks a pure recession
-    direction, not a face the polyhedron actually reaches, so it is left out.
-    """
-    _guard(
-        skeleton[0].dim if skeleton else 0,
-        len(skeleton),
-        len(constraints),
-    )
-    sats = [
-        frozenset(
-            i
-            for i, g in enumerate(skeleton)
-            if scalar_prod(c.row, g.row) == 0
-        )
-        for c in constraints
-    ]
-    full = frozenset(i for i, g in enumerate(skeleton) if g.kind is not GenKind.LINE)
-    supports = {full}
-    for k in range(1, len(sats) + 1):
-        for combo in combinations(range(len(sats)), k):
-            s = full
-            for j in combo:
-                s &= sats[j]
-            if s and any(skeleton[i].row[0] > 0 for i in s):
-                supports.add(s)
-    return supports
-
-
-def _saturated_rows(constraints: Sequence[Constraint], hom_point: tuple[int, ...]) -> list[int]:
-    return [i for i, c in enumerate(constraints) if scalar_prod(c.row, hom_point) == 0]
-
-
-def alpha(
-    points: Sequence[Sequence[Fraction | int]],
-    skeleton: Sequence[Generator],
-    constraints: Sequence[Constraint],
-) -> set[frozenset[int]]:
-    """Support family induced by materializing the given points.
-
-    For each point, take the support of the smallest face containing it and
-    collect every face support above it.  The result is the full up-set, not
-    its minimal form; pair with :func:`minimal_family` when needed.
-    """
-    lattice = face_supports(skeleton, constraints)
-    lines = {i for i, g in enumerate(skeleton) if g.kind is GenKind.LINE}
-    out: set[frozenset[int]] = set()
-    for p in points:
-        hp = rational_point_row(p)
-        if not con_contains(
-            [Constraint(c.row, ConKind.NONSTRICT) if c.kind is ConKind.STRICT else c
-             for c in constraints],
-            p,
-        ):
-            raise InvalidVector(f"point {tuple(p)} lies outside the closure")
-        rows = _saturated_rows(constraints, hp)
-        base = frozenset(
-            i
-            for i, g in enumerate(skeleton)
-            if i not in lines
-            and all(scalar_prod(constraints[j].row, g.row) == 0 for j in rows)
-        )
-        out |= {s for s in lattice if s >= base}
-    return out
-
-
-def gamma_contains(
-    family: Iterable[frozenset[int]],
-    skeleton: Sequence[Generator],
-    point: Sequence[Fraction | int],
-) -> bool:
-    """Is the point in the set of points the support family describes?
-
-    A support admits the point when it is a nonnegative combination of the
-    whole skeleton with strictly positive weight on every support member
-    (lines stay free).  Positive weight on a member forces every constraint
-    the point saturates to be saturated by that member too, so this
-    implicitly covers all faces above the named one; the family need not be
-    up-closed.
-    """
-    _guard(skeleton[0].dim if skeleton else 0, len(skeleton), 0)
-    lines = [g.row for g in skeleton if g.kind is GenKind.LINE]
-    nonneg_idx = [i for i, g in enumerate(skeleton) if g.kind is not GenKind.LINE]
-    nonneg = [skeleton[i].row for i in nonneg_idx]
-    pos_of = {i: k for k, i in enumerate(nonneg_idx)}
-    hp = rational_point_row(point)
-    for ns in family:
-        if not ns:
-            continue
-        group = {pos_of[i] for i in ns}
-        if feasibility.hom_member(lines, nonneg, hp, positive_each=group):
-            return True
-    return False
+    return minimal_family(ns for fam in families for ns in fam if ns and not (ns & hard))
 
 
 def minimal_family(family: Iterable[frozenset[int]]) -> set[frozenset[int]]:
+    """The members of a support family that include no other member."""
     fam = set(family)
     return {ns for ns in fam if not any(other < ns for other in fam)}
-
-
-GammaPredicate = Callable[[Sequence[Fraction | int]], bool]
-
-
-def gamma(
-    family: Iterable[frozenset[int]], skeleton: Sequence[Generator]
-) -> GammaPredicate:
-    fam = [frozenset(ns) for ns in family]
-
-    def contains(point: Sequence[Fraction | int]) -> bool:
-        return gamma_contains(fam, skeleton, point)
-
-    return contains

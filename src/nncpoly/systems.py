@@ -1,4 +1,5 @@
-"""Constraint and generator atoms, geometric systems, and membership tests.
+"""Constraint and generator atoms and exact point membership in a
+constraint system.
 
 Constraint rows read ``a.x + c0 ⋈ 0`` over the raw coordinates, so the
 inequality ``a.x >= b`` is stored as (-b, a1, .., an).  Generator rows are
@@ -14,8 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from . import feasibility
-from .errors import DimensionError, EmptySystem, InvalidVector
+from .errors import DimensionError, InvalidVector
 from .homvec import Row, check_vector, normalize, rational_point_row, scalar_prod
 
 
@@ -69,22 +69,9 @@ class Generator:
         return len(self.row) - 1
 
 
-def check_same_dim(items: Iterable[Constraint | Generator]) -> int:
-    dims = {it.dim for it in items}
-    if not dims:
-        raise EmptySystem("no rows")
-    if len(dims) > 1:
-        raise DimensionError(f"mixed dimensions {sorted(dims)}")
-    return dims.pop()
-
-
-def _hom(point: Sequence[Fraction | int]) -> Row:
-    return rational_point_row(point)
-
-
 def con_contains(constraints: Iterable[Constraint], point: Sequence[Fraction | int]) -> bool:
     """Exact membership of a rational point in con(constraints)."""
-    q = _hom(point)
+    q = rational_point_row(point)
     for c in constraints:
         if len(c.row) != len(q):
             raise DimensionError("constraint/point dimension mismatch")
@@ -96,81 +83,3 @@ def con_contains(constraints: Iterable[Constraint], point: Sequence[Fraction | i
         if c.kind is ConKind.STRICT and s <= 0:
             return False
     return True
-
-
-def _split_rows(gens: Iterable[Generator]) -> tuple[list[Row], list[Row], list[int]]:
-    """Rows grouped for cone membership: (lines, nonneg rows, point indices).
-
-    Point indices identify the nonneg rows contributed by kind POINT, which
-    NNC membership must weight with a strictly positive total.
-    """
-    lines: list[Row] = []
-    nonneg: list[Row] = []
-    point_idx: list[int] = []
-    for g in gens:
-        if g.kind is GenKind.LINE:
-            lines.append(g.row)
-        else:
-            if g.kind is GenKind.POINT:
-                point_idx.append(len(nonneg))
-            nonneg.append(g.row)
-    return lines, nonneg, point_idx
-
-
-def full_gen_contains(gens: Sequence[Generator], point: Sequence[Fraction | int]) -> bool:
-    """Membership in full.gen(gens): closure points count as points.
-
-    Decided by exact feasibility of the homogeneous combination, so this is
-    a desk-scale oracle rather than a hot-path routine.
-    """
-    if not gens:
-        return False
-    lines, nonneg, _ = _split_rows(gens)
-    return feasibility.hom_member(lines, nonneg, _hom(point))
-
-
-def gen_contains(gens: Sequence[Generator], point: Sequence[Fraction | int]) -> bool:
-    """Membership in gen(gens): some proper point must carry positive weight."""
-    if not gens:
-        return False
-    lines, nonneg, point_idx = _split_rows(gens)
-    if not point_idx:
-        return False
-    return feasibility.hom_member(lines, nonneg, _hom(point), positive_group=set(point_idx))
-
-
-def extract_skeleton(gens: Sequence[Generator]) -> tuple[list[Generator], list[Generator]]:
-    """Split a generator system into its skeleton and the leftover points.
-
-    The skeleton is the minimal subsystem describing the topological
-    closure: lines, rays, and the closure-point hull of full.gen(gens),
-    with input points that are skeleton elements kept as skeleton points.
-    Returns (skeleton, residual_points); residual points are input points
-    that are redundant for the closure (interior points, or duplicates of a
-    closure point's position).
-    """
-    if not gens:
-        raise EmptySystem("cannot extract a skeleton from no generators")
-    check_same_dim(gens)
-    from .eps import minimal_cone_rows  # local import; the oracle engine lives there
-
-    lines = [g.row for g in gens if g.kind is GenKind.LINE]
-    rays = [g.row for g in gens if g.kind is not GenKind.LINE]
-    min_lines, min_rays = minimal_cone_rows(lines, rays, len(gens[0].row))
-
-    cp_rows = {g.row for g in gens if g.kind is GenKind.CLOSURE_POINT}
-    keep_rows = set(min_rays)
-    skeleton: list[Generator] = [Generator(r, GenKind.LINE) for r in min_lines]
-    for r in sorted(keep_rows):
-        if r[0] == 0:
-            skeleton.append(Generator(r, GenKind.RAY))
-        elif r in cp_rows:
-            skeleton.append(Generator(r, GenKind.CLOSURE_POINT))
-        else:
-            skeleton.append(Generator(r, GenKind.POINT))
-    residual = [
-        g
-        for g in gens
-        if g.kind is GenKind.POINT and (g.row not in keep_rows or g.row in cp_rows)
-    ]
-    return skeleton, residual

@@ -30,7 +30,8 @@ from nncpoly.conversion import (
 )
 from nncpoly.eps import closed_c2g, closed_generators, eps_c2g
 from nncpoly.polyhedron import NncPolyhedron
-from nncpoly.satlat import alpha, face_supports, gamma_contains, minimal_family
+from nncpoly.oracle import alpha, face_supports, gamma_contains
+from nncpoly.satlat import minimal_family
 from nncpoly.systems import ConKind, Constraint, GenKind, Generator
 
 

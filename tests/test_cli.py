@@ -2,7 +2,9 @@ import json
 import subprocess
 import sys
 
+from nncpoly import conversion
 from nncpoly.cli import main
+from nncpoly.errors import InvariantError
 
 BOX_INE = """\
 H-representation
@@ -95,6 +97,16 @@ def test_parse_failure_exits_2(tmp_path, capsys):
 def test_missing_file_exits_2(tmp_path, capsys):
     assert main(["convert", str(tmp_path / "nope.ine")]) == 2
     assert "nncdd:" in capsys.readouterr().err
+
+
+def test_broken_invariant_exits_3(tmp_path, monkeypatch, capsys):
+    def broken(*_args):
+        raise InvariantError("support lost its position row")
+
+    monkeypatch.setattr(conversion, "process_row", broken)
+    src = write(tmp_path, "box.ine", BOX_INE)
+    assert main(["convert", src]) == 3
+    assert "invariant" in capsys.readouterr().err
 
 
 def test_bench_subcommand(tmp_path, capsys):

@@ -8,7 +8,7 @@ land on the same sets.
 
 import pytest
 
-from nncpoly import eps
+from nncpoly import eps, oracle
 from nncpoly.errors import EmptySystem, KindError
 from nncpoly.systems import ConKind, Constraint, GenKind, Generator
 
@@ -154,7 +154,7 @@ def test_roundtrip_through_the_slack_route():
 
 def test_bruteforce_face_enumeration():
     # closure faces named by their saturated row sets
-    faces = eps.enumerate_faces_bruteforce(
+    faces = oracle.enumerate_faces_bruteforce(
         [
             Constraint((-1, 1), ConKind.NONSTRICT),
             Constraint((3, -1), ConKind.STRICT),
@@ -162,7 +162,7 @@ def test_bruteforce_face_enumeration():
     )
     assert faces == {frozenset(), frozenset({0}), frozenset({1})}
 
-    tri = eps.enumerate_faces_bruteforce(
+    tri = oracle.enumerate_faces_bruteforce(
         [
             Constraint((0, 1, 0), ConKind.NONSTRICT),
             Constraint((0, 0, 1), ConKind.NONSTRICT),

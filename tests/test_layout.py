@@ -1,0 +1,53 @@
+"""Module layering of the library, read from the source with ``ast``.
+
+The runtime core must not reach the exponential desk-scale oracles or the
+independent eps route, and no module may hide an import inside a function
+(such imports are how import cycles get papered over).
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "nncpoly"
+RUNTIME = ("homvec", "systems", "satlat", "conversion", "polyhedron", "formats", "counting", "errors")
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _imported(tree: ast.Module) -> set[str]:
+    """Library modules a module imports, by their short name."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {a.name.split(".")[1] for a in node.names if a.name.startswith("nncpoly.")}
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and not (node.module or "").startswith("nncpoly"):
+                continue
+            module = (node.module or "").removeprefix("nncpoly").lstrip(".")
+            if module:
+                out.add(module.split(".")[0])
+            else:
+                out |= {a.name for a in node.names}
+    return out
+
+
+@pytest.mark.parametrize("name", RUNTIME)
+def test_runtime_modules_import_no_oracle(name):
+    assert not _imported(_tree(SRC / f"{name}.py")) & {"oracle", "eps"}
+
+
+def test_saturation_kernel_imports_only_counting_and_errors():
+    assert _imported(_tree(SRC / "satlat.py")) == {"counting", "errors"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_function_level_imports(path):
+    for fn in ast.walk(_tree(path)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = [n for n in ast.walk(fn) if isinstance(n, (ast.Import, ast.ImportFrom))]
+            assert not inner, f"{path.name}:{inner[0].lineno} imports inside {fn.name}()"

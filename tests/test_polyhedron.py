@@ -28,6 +28,12 @@ def test_needs_positive_dimension():
         NncPolyhedron.universe(0)
 
 
+def test_needs_a_context():
+    # each view is built from the other one, so one must be given
+    with pytest.raises(EmptySystem):
+        NncPolyhedron(2)
+
+
 def test_from_constraints_needs_rows_or_dim():
     with pytest.raises(EmptySystem):
         NncPolyhedron.from_constraints([])
@@ -210,6 +216,41 @@ def test_operations_leave_operands_alone():
     p.add_constraints([Constraint((2, -1), ConKind.STRICT)])
     assert sorted((c.row, c.kind) for c in p.constraints()) == before_p
     assert sorted((c.row, c.kind) for c in q.constraints()) == before_q
+
+    # the emitted views are cached, and callers get copies of them
+    gens = p.generators()
+    p.generators().clear()
+    p.constraints().append(Constraint((-1, 1), ConKind.STRICT))
+    assert p.generators() == gens
+    assert sorted((c.row, c.kind) for c in p.constraints()) == before_p
+
+    # emptiness of a polyhedron built from generators builds no other view
+    seg = NncPolyhedron.from_generators([Generator((1, 1), GenKind.POINT)])
+    assert not seg.is_empty()
+    assert seg._gen is None
+
+
+# Closure points cut the vertex where two non-adjacent strict rows meet; in
+# this order the face between those rows was once never enumerated, which
+# left 2 + y > 0 out and let the point (2, -2, -1) in.
+CUT_VERTEX_GENS = [
+    Generator((1, -1, 0, -1), GenKind.CLOSURE_POINT),
+    Generator((1, -1, 0, 3), GenKind.CLOSURE_POINT),
+    Generator((2, 1, 0, -2), GenKind.CLOSURE_POINT),
+    Generator((2, 1, 0, 6), GenKind.CLOSURE_POINT),
+    Generator((1, 0, 0, -1), GenKind.POINT),
+    Generator((1, 0, 0, 3), GenKind.POINT),
+    Generator((1, 1, -2, -1), GenKind.CLOSURE_POINT),
+    Generator((1, 3, -2, -1), GenKind.CLOSURE_POINT),
+]
+
+
+def test_generator_order_does_not_change_the_result():
+    fwd = NncPolyhedron.from_generators(CUT_VERTEX_GENS)
+    back = NncPolyhedron.from_generators(list(reversed(CUT_VERTEX_GENS)))
+    assert not fwd.contains_point([2, -2, -1])
+    assert not back.contains_point([2, -2, -1])
+    assert fwd.equals(back)
 
 
 def test_repr_mentions_dim():

@@ -3,14 +3,12 @@ from fractions import Fraction
 import pytest
 
 from nncpoly.errors import EmptySupportError, InvalidVector, ScaleLimitExceeded
+from nncpoly.oracle import alpha, face_supports, gamma
 from nncpoly.satlat import (
     Region,
     SatMatrix,
     adjacent,
-    alpha,
     classify_ns,
-    face_supports,
-    gamma,
     minimal_family,
     nonredundant_union,
     proj,

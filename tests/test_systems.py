@@ -3,17 +3,8 @@ from fractions import Fraction
 import pytest
 
 from nncpoly.errors import DimensionError, InvalidVector
-from nncpoly.systems import (
-    ConKind,
-    Constraint,
-    GenKind,
-    Generator,
-    check_same_dim,
-    con_contains,
-    extract_skeleton,
-    full_gen_contains,
-    gen_contains,
-)
+from nncpoly.oracle import check_same_dim, extract_skeleton, full_gen_contains, gen_contains
+from nncpoly.systems import ConKind, Constraint, GenKind, Generator, con_contains
 
 
 def test_constraint_normalizes_on_build():
