@@ -30,6 +30,8 @@ from .satlat import (
     SatMatrix,
     adjacent,
     classify_ns,
+    id_mask,
+    mask_ids,
     nonredundant_union,
     proj,
     supp_cl,
@@ -120,11 +122,11 @@ class ConvCtx:
         self.empty = True
         self.elems.clear()
         self.ns.clear()
-        self.sat.bits.clear()
+        self.sat.clear()
 
     def clone(self) -> "ConvCtx":
         counters = replace(self.counters, sizes=list(self.counters.sizes))
-        sat = SatMatrix(counters=counters, ncols=self.sat.ncols, bits=dict(self.sat.bits))
+        sat = self.sat.copy(counters)
         out = ConvCtx(
             dim=self.dim,
             producing=self.producing,
@@ -221,21 +223,24 @@ def _classify_all(ctx: ConvCtx, split: _Split) -> dict[frozenset[int], Region]:
     return {ns: classify_ns(ns, split.pos, split.zero, split.neg) for ns in ctx.ns}
 
 
+def _close_and_keep(
+    ctx: ConvCtx, split: _Split, role: Role, supports: Iterable[frozenset[int]]
+) -> set[frozenset[int]]:
+    """Close each support over the non-singular elements and keep the part
+    on the kept side of the new row; empty results vanish."""
+    cands = id_mask(ctx.nonsingular_ids())
+    keep = proj(cands, role is Role.HARD, id_mask(split.zero), id_mask(split.neg))
+    out = {supp_cl(ctx.sat, ns, cands) & keep for ns in supports}
+    out.discard(0)
+    return {mask_ids(m) for m in out}
+
+
 def move_ns(
     ctx: ConvCtx, split: _Split, role: Role, regions: dict[frozenset[int], Region]
 ) -> set[frozenset[int]]:
     """Reattach supports that straddle the new row to the kept side."""
-    strict = role is Role.HARD
-    cands = ctx.nonsingular_ids()
-    out: set[frozenset[int]] = set()
-    for ns, region in regions.items():
-        if region is not Region.MIX:
-            continue
-        closed = supp_cl(ctx.sat, ns, cands, ())
-        trimmed = proj(closed, strict, split.zero, split.neg)
-        if trimmed:
-            out.add(trimmed)
-    return out
+    mixed = [ns for ns, region in regions.items() if region is Region.MIX]
+    return _close_and_keep(ctx, split, role, mixed) if mixed else set()
 
 
 def enumerate_faces(
@@ -247,19 +252,11 @@ def enumerate_faces(
 ) -> set[frozenset[int]]:
     """Supports of faces reached by stretching each seed with one soft
     element from the far side of the new row."""
-    strict = role is Role.HARD
-    cands = ctx.nonsingular_ids()
-    out: set[frozenset[int]] = set()
     exts = sorted(extensions)
-    for seed in seeds:
-        for s in exts:
-            if s in seed:
-                continue
-            closed = supp_cl(ctx.sat, set(seed) | {s}, cands, ())
-            trimmed = proj(closed, strict, split.zero, split.neg)
-            if trimmed:
-                out.add(trimmed)
-    return out
+    if not exts:
+        return set()
+    stretched = (seed | {s} for seed in seeds for s in exts if s not in seed)
+    return _close_and_keep(ctx, split, role, stretched)
 
 
 def create_ns(
@@ -294,11 +291,13 @@ def create_ns(
         out |= enumerate_faces(
             ctx, hard_singletons(split.zero) + supports(Region.ZERO), soft_pos, role, split
         )
-    if ctx.producing is Side.CON:
+    if ctx.producing is Side.CON and role is not Role.HARD:
         # Two strict rows on opposite sides that are not adjacent meet in a
         # face no soft extension reaches (a closure point can cut the vertex
         # where they cross).  Adjacent pairs need nothing: their hard
-        # combination already excludes that face.
+        # combination already excludes that face.  Nor does an added point:
+        # the kept strict row stays hard and in every such support, so
+        # nonredundant_union would drop them all.
         hard_pos = [i for i in sorted(split.pos) if ctx.elems[i].role is Role.HARD]
         for seed in hard_neg:
             (m,) = seed

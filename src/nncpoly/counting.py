@@ -12,7 +12,8 @@ class OpCounters:
     vec_ops counts scalar products and linear combinations of coefficient
     rows; sat_ops counts row-level bitset operations (intersection, union,
     inclusion test, population count), each full-row operation counting 1
-    regardless of word width; iterations counts processed input rows; sizes
+    regardless of word width, and each column AND of a support closure
+    counts 1 the same way; iterations counts processed input rows; sizes
     records the representation size (skeleton cardinality plus number of
     stored supports) after each iteration.
     """

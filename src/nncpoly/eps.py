@@ -60,7 +60,7 @@ class ClosedCone:
     def set_empty(self) -> None:
         self.empty = True
         self.elems.clear()
-        self.sat.bits.clear()
+        self.sat.clear()
 
 
 def closed_universe(dim: int) -> ClosedCone:

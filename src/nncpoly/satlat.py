@@ -2,15 +2,16 @@
 
 Every conversion element carries a saturation row: one bit per opposite-side
 row seen so far, set when the scalar product was zero.  Supports of
-non-skeleton strictness marks are sets of element ids; the helpers here
-close, project, classify and minimize those sets.
+non-skeleton strictness marks are sets of element ids, stored as frozensets
+and closed and projected as int id masks; the helpers here close, project,
+classify and minimize them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .counting import OpCounters
 from .errors import EmptySupportError
@@ -18,15 +19,25 @@ from .errors import EmptySupportError
 
 @dataclass
 class SatMatrix:
-    """Bit rows keyed by element id; bit c is set when the element saturates
-    column c."""
+    """Bit rows keyed by element id, and the same bits column-major.
+
+    ``bits[e]`` has bit c set when element e saturates column c;
+    ``cols[c]`` has bit e set for the same pairs.  ``drop_row`` leaves the
+    dropped id's bits in ``cols``: this is sound because an id is never
+    reused until ``clear()`` and every column query is ANDed with a mask of
+    live ids (the candidates of ``supp_cl``).
+    """
 
     counters: OpCounters = field(default_factory=OpCounters)
     ncols: int = 0
     bits: dict[int, int] = field(default_factory=dict)
+    cols: list[int] = field(default_factory=list)
 
     def new_row(self, eid: int, mask: int = 0) -> None:
         self.bits[eid] = mask
+        bit = 1 << eid
+        for c in bit_indices(mask):
+            self.cols[c] |= bit
 
     def drop_row(self, eid: int) -> None:
         self.bits.pop(eid, None)
@@ -35,9 +46,20 @@ class SatMatrix:
         col = self.ncols
         self.ncols += 1
         bit = 1 << col
+        ids = 0
         for eid in saturating:
             self.bits[eid] |= bit
+            ids |= 1 << eid
+        self.cols.append(ids)
         return col
+
+    def clear(self) -> None:
+        """Forget every row; the columns stay, saturated by nobody."""
+        self.bits.clear()
+        self.cols = [0] * self.ncols
+
+    def copy(self, counters: OpCounters) -> "SatMatrix":
+        return SatMatrix(counters, self.ncols, dict(self.bits), list(self.cols))
 
     def row(self, eid: int) -> int:
         return self.bits[eid]
@@ -58,21 +80,35 @@ class SatMatrix:
         self.counters.sat_ops += 1
         return self.bits[eid] & mask == mask
 
-    def elems_saturating(self, mask: int, candidates: Iterable[int]) -> set[int]:
-        return {eid for eid in candidates if self.covers(eid, mask)}
+
+def bit_indices(mask: int) -> Iterator[int]:
+    """The positions of the set bits of a non-negative mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def supp_cl(
-    sat: SatMatrix,
-    members: Iterable[int],
-    candidates: Iterable[int],
-    lines: Iterable[int],
-) -> frozenset[int]:
-    """Saturation closure of a support: every non-line element saturating all
-    columns the members jointly saturate."""
-    mask = sat.and_rows(members)
-    closed = sat.elems_saturating(mask, candidates)
-    return frozenset(closed - set(lines))
+def id_mask(ids: Iterable[int]) -> int:
+    mask = 0
+    for eid in ids:
+        mask |= 1 << eid
+    return mask
+
+
+def mask_ids(mask: int) -> frozenset[int]:
+    return frozenset(bit_indices(mask))
+
+
+def supp_cl(sat: SatMatrix, members: Iterable[int], candidates: int) -> int:
+    """Saturation closure of a support, as an id mask: the candidates that
+    saturate every column the members jointly saturate.  Each column ANDed
+    in counts one sat_op."""
+    common = sat.and_rows(members)
+    for c in bit_indices(common):
+        candidates &= sat.cols[c]
+    sat.counters.sat_ops += common.bit_count()
+    return candidates
 
 
 def adjacent(sat: SatMatrix, a: int, b: int, witnesses: Iterable[int]) -> bool:
@@ -110,9 +146,10 @@ def classify_ns(
     raise EmptySupportError(f"support {sorted(ns)} outside the current partition")
 
 
-def proj(ns: frozenset[int], strict: bool, zero: set[int], neg: set[int]) -> frozenset[int]:
-    """Restrict a closed support to the side kept by the new row."""
-    return frozenset(ns - neg) if strict else frozenset(ns & zero)
+def proj(ns: int, strict: bool, zero: int, neg: int) -> int:
+    """Restrict a closed support (an id mask) to the side kept by the new
+    row."""
+    return ns & ~neg if strict else ns & zero
 
 
 def nonredundant_union(

@@ -7,6 +7,8 @@ numbers are reproducible run to run.  Three corpora are produced:
 * the closed subset of the same shape (no strict rows),
 * desk-scale skeletons with their facet systems, for the support-family
   order checks.
+
+It also holds fixed generator systems that once exposed engine faults.
 """
 
 import random
@@ -128,3 +130,18 @@ def face_centroid(
     if total[0] <= 0:
         raise ValueError("support has no position rows")
     return tuple(Fraction(x, total[0]) for x in total[1:])
+
+
+# Closure points cut the vertex where two non-adjacent strict rows meet; in
+# this order the face between those rows was once never enumerated, which
+# left 2 + y > 0 out and let the point (2, -2, -1) in.
+CUT_VERTEX_GENS = [
+    Generator((1, -1, 0, -1), GenKind.CLOSURE_POINT),
+    Generator((1, -1, 0, 3), GenKind.CLOSURE_POINT),
+    Generator((2, 1, 0, -2), GenKind.CLOSURE_POINT),
+    Generator((2, 1, 0, 6), GenKind.CLOSURE_POINT),
+    Generator((1, 0, 0, -1), GenKind.POINT),
+    Generator((1, 0, 0, 3), GenKind.POINT),
+    Generator((1, 1, -2, -1), GenKind.CLOSURE_POINT),
+    Generator((1, 3, -2, -1), GenKind.CLOSURE_POINT),
+]

@@ -33,3 +33,9 @@ def test_bench_report_shape():
         assert rep[route]["vec_ops"] > 0
     # the direct route must not carry larger intermediate systems
     assert rep["new"]["max_size"] <= rep["eps"]["max_size"]
+
+    # exact vector work and peak sizes at dim 3: a kernel change must not
+    # move them
+    rep = bench_dual_hypercube(3)
+    assert (rep["new"]["vec_ops"], rep["new"]["max_size"]) == (556, 8)
+    assert (rep["eps"]["vec_ops"], rep["eps"]["max_size"]) == (1714, 18)

@@ -8,6 +8,8 @@ hand-derived outcome.
 
 import pytest
 
+from corpus import CUT_VERTEX_GENS
+from nncpoly import conversion
 from nncpoly.conversion import (
     ConvCtx,
     Role,
@@ -232,6 +234,59 @@ def test_half_open_segment_emits_one_strict_row():
         [Generator((1, 1), GenKind.POINT), Generator((1, 3), GenKind.CLOSURE_POINT)]
     )
     assert dump_cons(ctx) == [((-1, 1), "NONSTRICT"), ((3, -1), "STRICT")]
+
+
+# The last point, (-2, 0), violates the strict row 2 + 3x + 2y > 0 of the
+# first five generators while strict rows not adjacent to it stay.
+POINT_CUTS_STRICT_GENS = [
+    Generator((1, 1, -2), GenKind.POINT),
+    Generator((1, -2, 2), GenKind.CLOSURE_POINT),
+    Generator((1, 0, -1), GenKind.CLOSURE_POINT),
+    Generator((1, 3, 1), GenKind.CLOSURE_POINT),
+    Generator((1, 2, -1), GenKind.CLOSURE_POINT),
+    Generator((1, -2, 0), GenKind.POINT),
+]
+
+
+def spy_hard_extensions(monkeypatch):
+    """Record (role of the added row, any extension hard) per face
+    enumeration."""
+    seen = []
+    enumerate_faces = conversion.enumerate_faces
+
+    def spy(ctx, seeds, extensions, role, split):
+        exts = list(extensions)
+        seen.append((role, any(ctx.elems[e].role is Role.HARD for e in exts)))
+        return enumerate_faces(ctx, seeds, exts, role, split)
+
+    monkeypatch.setattr(conversion, "enumerate_faces", spy)
+    return seen
+
+
+def test_added_point_closes_no_strict_pair(monkeypatch):
+    # a pair closed when a point is added keeps its strict row hard, so
+    # the union would drop it: no such closure is attempted
+    seen = spy_hard_extensions(monkeypatch)
+    ctx = conversion_g2c(POINT_CUTS_STRICT_GENS)
+    assert (Role.HARD, False) in seen
+    assert (Role.HARD, True) not in seen
+    assert dump_cons(ctx) == [
+        ((2, 1, 0), "NONSTRICT"),
+        ((3, -1, 1), "NONSTRICT"),
+        ((4, 2, 3), "NONSTRICT"),
+        ((5, -2, 1), "STRICT"),
+        ((8, -1, -5), "STRICT"),
+    ]
+    assert dump_cons(conversion_g2c(list(reversed(POINT_CUTS_STRICT_GENS)))) == dump_cons(ctx)
+
+
+def test_added_closure_point_still_closes_strict_pairs(monkeypatch):
+    seen = spy_hard_extensions(monkeypatch)
+    fwd = conversion_g2c(CUT_VERTEX_GENS)
+    assert (Role.SOFT, True) in seen
+    assert (Role.HARD, True) not in seen
+    back = conversion_g2c(list(reversed(CUT_VERTEX_GENS)))
+    assert dump_cons(fwd) == dump_cons(back)
 
 
 def test_generators_need_a_point():

@@ -5,6 +5,8 @@ import pytest
 from nncpoly import ConKind, Constraint, GenKind, Generator, NncPolyhedron
 from nncpoly.errors import DimensionError, EmptySystem
 
+from corpus import CUT_VERTEX_GENS
+
 
 def interval(lo_strict: bool, hi_strict: bool) -> NncPolyhedron:
     return NncPolyhedron.from_constraints(
@@ -228,21 +230,6 @@ def test_operations_leave_operands_alone():
     seg = NncPolyhedron.from_generators([Generator((1, 1), GenKind.POINT)])
     assert not seg.is_empty()
     assert seg._gen is None
-
-
-# Closure points cut the vertex where two non-adjacent strict rows meet; in
-# this order the face between those rows was once never enumerated, which
-# left 2 + y > 0 out and let the point (2, -2, -1) in.
-CUT_VERTEX_GENS = [
-    Generator((1, -1, 0, -1), GenKind.CLOSURE_POINT),
-    Generator((1, -1, 0, 3), GenKind.CLOSURE_POINT),
-    Generator((2, 1, 0, -2), GenKind.CLOSURE_POINT),
-    Generator((2, 1, 0, 6), GenKind.CLOSURE_POINT),
-    Generator((1, 0, 0, -1), GenKind.POINT),
-    Generator((1, 0, 0, 3), GenKind.POINT),
-    Generator((1, 1, -2, -1), GenKind.CLOSURE_POINT),
-    Generator((1, 3, -2, -1), GenKind.CLOSURE_POINT),
-]
 
 
 def test_generator_order_does_not_change_the_result():

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from nncpoly.conversion import Role, conversion_g2c, process_row
 from nncpoly.errors import EmptySupportError, InvalidVector, ScaleLimitExceeded
 from nncpoly.oracle import alpha, face_supports, gamma
 from nncpoly.satlat import (
@@ -9,6 +11,8 @@ from nncpoly.satlat import (
     SatMatrix,
     adjacent,
     classify_ns,
+    id_mask,
+    mask_ids,
     minimal_family,
     nonredundant_union,
     proj,
@@ -64,8 +68,82 @@ def test_covers_counts_one_op():
 def test_supp_cl_closes_to_common_saturators():
     sat = small_matrix()
     # rows 0 and 1 share only col 0; rows saturating col 0 are 0, 1, 3
-    assert supp_cl(sat, [0, 1], range(4), ()) == frozenset({0, 1, 3})
-    assert supp_cl(sat, [0, 1], range(4), lines=[3]) == frozenset({0, 1})
+    assert mask_ids(supp_cl(sat, [0, 1], id_mask(range(4)))) == frozenset({0, 1, 3})
+    assert mask_ids(supp_cl(sat, [0, 1], id_mask([0, 1, 2]))) == frozenset({0, 1})
+
+
+def test_supp_cl_counts_one_op_per_member_and_column():
+    sat = small_matrix()
+    before = sat.counters.sat_ops
+    # rows 0 and 3 share cols 0 and 1
+    assert mask_ids(supp_cl(sat, [0, 3], id_mask(range(4)))) == frozenset({0, 3})
+    assert sat.counters.sat_ops == before + 2 + 2
+
+
+def check_columns(sat: SatMatrix, live: set[int]) -> None:
+    """On live ids the columns are the transposed rows."""
+    assert len(sat.cols) == sat.ncols
+    for c in range(sat.ncols):
+        assert mask_ids(sat.cols[c] & id_mask(live)) == {e for e in live if sat.bits[e] >> c & 1}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_mask_closure_matches_row_scan(seed):
+    rng = random.Random(seed)
+    sat = SatMatrix()
+    live: set[int] = set()
+    next_id = 0
+    stale_seen = 0
+    for _ in range(300):
+        op = rng.choices(["new", "drop", "col", "copy", "clear"], [6, 3, 3, 1, 0.2])[0]
+        if op == "new":
+            sat.new_row(next_id, rng.getrandbits(sat.ncols) if sat.ncols else 0)
+            live.add(next_id)
+            next_id += 1
+        elif op == "drop" and live:
+            sat.drop_row(rng.choice(sorted(live)))
+            live &= set(sat.bits)
+        elif op == "col":
+            sat.add_col(e for e in sorted(live) if rng.random() < 0.5)
+        elif op == "copy":
+            # mutating the original leaves the copy alone
+            twin = sat.copy(sat.counters)
+            frozen = (dict(twin.bits), list(twin.cols), twin.ncols)
+            sat.add_col(sorted(live))
+            sat.new_row(next_id, (1 << sat.ncols) - 1)
+            next_id += 1
+            assert (twin.bits, twin.cols, twin.ncols) == frozen
+            sat = twin
+        elif op == "clear":
+            # the columns forget every id, so ids may start over
+            sat.clear()
+            live.clear()
+            next_id = 0
+        check_columns(sat, live)
+        stale_seen += any(col & ~id_mask(live) for col in sat.cols)
+        if not live:
+            continue
+        members = rng.sample(sorted(live), rng.randint(1, min(3, len(live))))
+        cands = {e for e in live if rng.random() < 0.7}
+        common = -1
+        for m in members:
+            common &= sat.bits[m]
+        want = {e for e in cands if sat.bits[e] & common == common}
+        assert mask_ids(supp_cl(sat, members, id_mask(cands))) == want
+    # dropped ids linger in the columns; the live-id mask hides them
+    assert stale_seen
+
+
+def test_clone_leaves_parent_columns_alone():
+    parent = conversion_g2c(
+        [Generator((1, 0, 0), GenKind.POINT), Generator((1, 2, 0), GenKind.CLOSURE_POINT)]
+    )
+    before = (dict(parent.sat.bits), list(parent.sat.cols), parent.sat.ncols)
+    child = parent.clone()
+    process_row(child, (1, 1, 2), Role.HARD)
+    process_row(child, (1, 0, 1), Role.SOFT)
+    child.set_empty()
+    assert (dict(parent.sat.bits), list(parent.sat.cols), parent.sat.ncols) == before
 
 
 def test_adjacent_blocked_by_witness():
@@ -83,9 +161,9 @@ def test_classify_and_proj():
     assert classify_ns(frozenset({1, 3}), pos, zero, neg) is Region.MIX
     with pytest.raises(EmptySupportError):
         classify_ns(frozenset({9}), pos, zero, neg)
-    ns = frozenset({1, 2, 3})
-    assert proj(ns, strict=False, zero=zero, neg=neg) == frozenset({2})
-    assert proj(ns, strict=True, zero=zero, neg=neg) == frozenset({1, 2})
+    ns, zero_m, neg_m = id_mask({1, 2, 3}), id_mask(zero), id_mask(neg)
+    assert mask_ids(proj(ns, strict=False, zero=zero_m, neg=neg_m)) == frozenset({2})
+    assert mask_ids(proj(ns, strict=True, zero=zero_m, neg=neg_m)) == frozenset({1, 2})
 
 
 def test_nonredundant_union_drops_hard_and_supersets():
