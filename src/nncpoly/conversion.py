@@ -200,7 +200,7 @@ def combine_adjacent(ctx: ConvCtx, role: Role, split: _Split) -> list[int]:
     (the AND of the parents; the new column is appended by the caller).  The
     adjacent pairs are recorded on the split for ``create_ns``.
     """
-    witnesses = sorted(split.pos | split.zero | split.neg)
+    witnesses = id_mask(split.pos | split.zero | split.neg)
     new_ids: list[int] = []
     for p in sorted(split.pos):
         for m in sorted(split.neg):

@@ -10,12 +10,11 @@ class OpCounters:
     """Work counters with the granularity used throughout the library.
 
     vec_ops counts scalar products and linear combinations of coefficient
-    rows; sat_ops counts row-level bitset operations (intersection, union,
-    inclusion test, population count), each full-row operation counting 1
-    regardless of word width, and each column AND of a support closure
-    counts 1 the same way; iterations counts processed input rows; sizes
-    records the representation size (skeleton cardinality plus number of
-    stored supports) after each iteration.
+    rows; sat_ops counts bitset operations, each row intersection and
+    each column AND of a support closure (adjacency tests included)
+    counting 1 regardless of word width; iterations counts processed input
+    rows; sizes records the representation size (skeleton cardinality plus
+    number of stored supports) after each iteration.
     """
 
     vec_ops: int = 0

@@ -21,7 +21,7 @@ from typing import Sequence
 from .counting import OpCounters
 from .errors import DimensionError, EmptySystem, InvariantError, KindError
 from .homvec import Row, combine_with_products, eliminate, normalize, scalar_prod
-from .satlat import SatMatrix, adjacent
+from .satlat import SatMatrix, adjacent, id_mask
 from .systems import ConKind, Constraint, GenKind, Generator
 
 
@@ -139,7 +139,7 @@ def closed_add_row(cone: ClosedCone, row: Row, line: bool) -> None:
         pos = sorted(eid for eid, e in cone.elems.items() if not e.line and sps[eid] > 0)
         neg = sorted(eid for eid, e in cone.elems.items() if not e.line and sps[eid] < 0)
         if pos or neg:
-            witnesses = [eid for eid, e in cone.elems.items() if not e.line]
+            witnesses = id_mask(eid for eid, e in cone.elems.items() if not e.line)
             for p in pos:
                 for m in neg:
                     if not adjacent(cone.sat, p, m, witnesses):
@@ -165,43 +165,30 @@ def closed_add_row(cone: ClosedCone, row: Row, line: bool) -> None:
     cone.counters.sizes.append(len(cone.elems))
 
 
-def closed_c2g(
-    constraints: Sequence[Constraint],
-    *,
-    dim: int | None = None,
-    base: ClosedCone | None = None,
-) -> ClosedCone:
+def closed_c2g(constraints: Sequence[Constraint], *, dim: int | None = None) -> ClosedCone:
     cs = list(constraints)
     for c in cs:
         if c.kind is ConKind.STRICT:
             raise KindError("closed engine cannot take strict inequalities")
-    if base is not None:
-        cone = base
-    else:
-        if dim is None:
-            if not cs:
-                raise EmptySystem("dimension unknown: no constraints and no explicit dim")
-            dim = cs[0].dim
-        cone = closed_universe(dim)
+    if dim is None:
+        if not cs:
+            raise EmptySystem("dimension unknown: no constraints and no explicit dim")
+        dim = cs[0].dim
+    cone = closed_universe(dim)
     for c in cs:
         closed_add_row(cone, c.row, c.kind is ConKind.EQUALITY)
     return cone
 
 
-def closed_g2c(
-    generators: Sequence[Generator], *, base: ClosedCone | None = None
-) -> ClosedCone:
+def closed_g2c(generators: Sequence[Generator]) -> ClosedCone:
     gens = list(generators)
     for g in gens:
         if g.kind is GenKind.CLOSURE_POINT:
             raise KindError("closed engine cannot take closure points")
-    if base is not None:
-        cone = base
-    else:
-        idx = next((i for i, g in enumerate(gens) if g.kind is GenKind.POINT), None)
-        if idx is None:
-            raise EmptySystem("a generator system needs at least one point")
-        cone = closed_point_base(gens.pop(idx).row)
+    idx = next((i for i, g in enumerate(gens) if g.kind is GenKind.POINT), None)
+    if idx is None:
+        raise EmptySystem("a generator system needs at least one point")
+    cone = closed_point_base(gens.pop(idx).row)
     for g in gens:
         closed_add_row(cone, g.row, g.kind is GenKind.LINE)
     return cone

@@ -113,6 +113,7 @@ def feasible(rows: list[FeasRow], nvars: int) -> bool:
             c = row[0][v]
             (pos if c > 0 else neg if c < 0 else rest).append(row)
         new = rest
+        _guard(fm_rows=len(new))
         seen = {(_r[0], _r[1], _r[2]) for _r in rest}
         for pc, p0, prel in pos:
             for nc, n0, nrel in neg:
@@ -123,7 +124,7 @@ def feasible(rows: list[FeasRow], nvars: int) -> bool:
                 if row not in seen:
                     seen.add(row)
                     new.append(row)
-        _guard(fm_rows=len(new))
+                    _guard(fm_rows=len(new))
         rows = new
 
     for _, c0, rel in rows:

@@ -4,7 +4,8 @@ Every conversion element carries a saturation row: one bit per opposite-side
 row seen so far, set when the scalar product was zero.  Supports of
 non-skeleton strictness marks are sets of element ids, stored as frozensets
 and closed and projected as int id masks; the helpers here close, project,
-classify and minimize them.
+classify and minimize them.  One closure routine, ``supp_cl``, serves both
+faces and combinatorial adjacency.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ class SatMatrix:
     ``cols[c]`` has bit e set for the same pairs.  ``drop_row`` leaves the
     dropped id's bits in ``cols``: this is sound because an id is never
     reused until ``clear()`` and every column query is ANDed with a mask of
-    live ids (the candidates of ``supp_cl``).
+    live ids (the candidates of ``supp_cl``, which for ``adjacent`` are the
+    witnesses).
     """
 
     counters: OpCounters = field(default_factory=OpCounters)
@@ -61,9 +63,6 @@ class SatMatrix:
     def copy(self, counters: OpCounters) -> "SatMatrix":
         return SatMatrix(counters, self.ncols, dict(self.bits), list(self.cols))
 
-    def row(self, eid: int) -> int:
-        return self.bits[eid]
-
     def and_rows(self, eids: Iterable[int]) -> int:
         mask = -1
         n = 0
@@ -74,11 +73,6 @@ class SatMatrix:
             raise EmptySupportError("no rows to intersect")
         self.counters.sat_ops += n
         return mask & ((1 << self.ncols) - 1) if self.ncols else 0
-
-    def covers(self, eid: int, mask: int) -> bool:
-        """Does eid's row have every bit of mask set?"""
-        self.counters.sat_ops += 1
-        return self.bits[eid] & mask == mask
 
 
 def bit_indices(mask: int) -> Iterator[int]:
@@ -111,16 +105,11 @@ def supp_cl(sat: SatMatrix, members: Iterable[int], candidates: int) -> int:
     return candidates
 
 
-def adjacent(sat: SatMatrix, a: int, b: int, witnesses: Iterable[int]) -> bool:
-    """Combinatorial adjacency: no third (non-line) element saturates every
-    column that a and b jointly saturate."""
-    common = sat.and_rows((a, b))
-    for w in witnesses:
-        if w == a or w == b:
-            continue
-        if sat.covers(w, common):
-            return False
-    return True
+def adjacent(sat: SatMatrix, a: int, b: int, witnesses: int) -> bool:
+    """Combinatorial adjacency: no witness but a and b saturates every
+    column that a and b jointly saturate, i.e. closing {a, b} over the
+    other witnesses (an id mask of live elements) leaves nothing."""
+    return supp_cl(sat, (a, b), witnesses & ~(1 << a | 1 << b)) == 0
 
 
 class Region(Enum):

@@ -42,8 +42,8 @@ def small_matrix() -> SatMatrix:
 def test_satmatrix_rows_and_cols():
     sat = small_matrix()
     assert sat.ncols == 3
-    assert sat.row(0) == 0b011
-    assert sat.row(3) == 0b111
+    assert sat.bits[0] == 0b011
+    assert sat.bits[3] == 0b111
     sat.drop_row(0)
     assert 0 not in sat.bits
 
@@ -57,12 +57,12 @@ def test_and_rows_counts_and_masks():
         sat.and_rows([])
 
 
-def test_covers_counts_one_op():
+def test_adjacent_counts_and_rows_plus_one_op_per_shared_column():
     sat = small_matrix()
     before = sat.counters.sat_ops
-    assert sat.covers(3, 0b101)
-    assert not sat.covers(0, 0b101)
-    assert sat.counters.sat_ops == before + 2
+    # rows 1 and 3 share cols 0 and 2; no other row saturates both
+    assert adjacent(sat, 1, 3, witnesses=id_mask(range(4)))
+    assert sat.counters.sat_ops == before + 2 + 2
 
 
 def test_supp_cl_closes_to_common_saturators():
@@ -130,6 +130,13 @@ def test_mask_closure_matches_row_scan(seed):
             common &= sat.bits[m]
         want = {e for e in cands if sat.bits[e] & common == common}
         assert mask_ids(supp_cl(sat, members, id_mask(cands))) == want
+        # adjacency against its definition: no third witness saturates
+        # every column the pair shares
+        if len(live) > 1:
+            a, b = rng.sample(sorted(live), 2)
+            pair = sat.bits[a] & sat.bits[b]
+            blocked = any(sat.bits[w] & pair == pair for w in cands - {a, b})
+            assert adjacent(sat, a, b, id_mask(cands)) is not blocked
     # dropped ids linger in the columns; the live-id mask hides them
     assert stale_seen
 
@@ -149,8 +156,8 @@ def test_clone_leaves_parent_columns_alone():
 def test_adjacent_blocked_by_witness():
     sat = small_matrix()
     # 0 and 1 share col 0, which row 3 also saturates
-    assert not adjacent(sat, 0, 1, witnesses=range(4))
-    assert adjacent(sat, 0, 1, witnesses=[0, 1, 2])
+    assert not adjacent(sat, 0, 1, witnesses=id_mask(range(4)))
+    assert adjacent(sat, 0, 1, witnesses=id_mask([0, 1, 2]))
 
 
 def test_classify_and_proj():

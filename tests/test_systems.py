@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from nncpoly.errors import DimensionError, InvalidVector
+from nncpoly import oracle
+from nncpoly.errors import DimensionError, InvalidVector, ScaleLimitExceeded
 from nncpoly.oracle import check_same_dim, extract_skeleton, full_gen_contains, gen_contains
 from nncpoly.systems import ConKind, Constraint, GenKind, Generator, con_contains
 
@@ -107,3 +108,27 @@ def test_extract_skeleton_prefers_closure_point_on_ties():
     kinds = {g.row: g.kind for g in skel}
     assert kinds[(1, 0)] is GenKind.CLOSURE_POINT
     assert [g.row for g in residual] == [(1, 0)]
+
+
+def test_fourier_motzkin_guard_stops_the_step_it_overflows(monkeypatch):
+    # x is eliminated first: 8 rows bound it from below and 8 from above,
+    # so the step would build 64 rows (54 distinct) if left to finish
+    lower = [((Fraction(1), Fraction(i)), Fraction(i * i), "ge") for i in range(1, 9)]
+    upper = [((Fraction(-1), Fraction(-j)), Fraction(j**3), "ge") for j in range(1, 9)]
+    assert oracle.feasible(lower + upper, 2)
+
+    built = 0
+    norm = oracle._norm
+
+    def counting_norm(*row):
+        nonlocal built
+        built += 1
+        return norm(*row)
+
+    monkeypatch.setitem(oracle._LIMITS, "fm_rows", 20)
+    monkeypatch.setattr(oracle, "_norm", counting_norm)
+    with pytest.raises(ScaleLimitExceeded, match="fm_rows 21 > 20"):
+        oracle.feasible(lower + upper, 2)
+    built -= len(lower + upper)  # the input rows are normalized first
+    assert built < 8 * 8
+    assert built <= 21 + 8  # the first row over the limit, plus duplicates
