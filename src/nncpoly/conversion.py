@@ -8,6 +8,11 @@ time.  Element behavior depends on a three-way role, not on the side:
 * SOFT: rays and closure points / nonstrict inequalities.
 * HARD: skeleton points / skeleton-strict inequalities.
 
+Every row takes one step (``process_row``).  If the row breaks a
+SINGULAR element, that element is first pivoted into the half the row
+keeps (``violating_singular``); the ordinary step then runs with the half
+alone on the positive side, so each role's effect is coded once.
+
 Strictness that no single skeleton element can express lives next to the
 skeleton as supports: sets of element ids whose face's relative interior is
 included (generator side) or excluded (constraint side).  The constraint
@@ -76,6 +81,7 @@ class _Split:
     pos: set[int]
     zero: set[int]
     neg: set[int]
+    violated: int | None = None
     adjacent_pairs: set[tuple[int, int]] = field(default_factory=set)
 
 
@@ -174,23 +180,24 @@ def _combine_role(added: Role, a: Role, b: Role) -> Role:
 
 
 def partition_elems(ctx: ConvCtx, row: Row) -> _Split:
-    sps: dict[int, int] = {}
-    pos: set[int] = set()
-    zero: set[int] = set()
-    neg: set[int] = set()
+    """Sign every element against the row.  Singular elements join no part;
+    the lowest-id one the row does not saturate is recorded as violated
+    (dict order is id order, since ids only grow)."""
+    split = _Split({}, set(), set(), set())
     for eid, e in ctx.elems.items():
         s = scalar_prod(row, e.row)
         ctx.counters.vec_ops += 1
-        sps[eid] = s
+        split.sps[eid] = s
         if e.role is Role.SINGULAR:
-            continue
-        if s > 0:
-            pos.add(eid)
+            if s and split.violated is None:
+                split.violated = eid
+        elif s > 0:
+            split.pos.add(eid)
         elif s < 0:
-            neg.add(eid)
+            split.neg.add(eid)
         else:
-            zero.add(eid)
-    return _Split(sps, pos, zero, neg)
+            split.zero.add(eid)
+    return split
 
 
 def combine_adjacent(ctx: ConvCtx, role: Role, split: _Split) -> list[int]:
@@ -259,6 +266,19 @@ def enumerate_faces(
     return _close_and_keep(ctx, split, role, stretched)
 
 
+def _with_role(ctx: ConvCtx, ids: Iterable[int], role: Role) -> list[int]:
+    return [i for i in sorted(ids) if ctx.elems[i].role is role]
+
+
+def _seeds(
+    hard: list[int], regions: dict[frozenset[int], Region], region: Region
+) -> list[frozenset[int]]:
+    """Each hard element alone, then the supports lying in the region."""
+    return [frozenset({i}) for i in hard] + sorted(
+        (ns for ns, r in regions.items() if r is region), key=sorted
+    )
+
+
 def create_ns(
     ctx: ConvCtx, split: _Split, role: Role, regions: dict[frozenset[int], Region]
 ) -> set[frozenset[int]]:
@@ -266,44 +286,30 @@ def create_ns(
 
     Crossing faces are found from point-like elements and existing supports
     on the going-away side, extended one soft element at a time into the
-    kept side; a strict cut additionally stretches boundary faces into the
-    open side, and a sign-free row looks both ways.  On the constraint side a
-    strict row about to go also stretches to each kept strict row it is not
-    adjacent to.
+    kept side; a soft or sign-free row also looks the other way.  On the
+    constraint side a strict row about to go also stretches to each kept
+    strict row it is not adjacent to.  (A strict row's boundary faces are
+    ``strict_on_eq_points``'s.)
     """
-
-    def hard_singletons(ids: set[int]) -> list[frozenset[int]]:
-        return [frozenset({i}) for i in sorted(ids) if ctx.elems[i].role is Role.HARD]
-
-    def supports(region: Region) -> list[frozenset[int]]:
-        return sorted((ns for ns, r in regions.items() if r is region), key=sorted)
-
-    soft_pos = [i for i in sorted(split.pos) if ctx.elems[i].role is Role.SOFT]
-    soft_neg = [i for i in sorted(split.neg) if ctx.elems[i].role is Role.SOFT]
-
-    hard_neg = hard_singletons(split.neg)
-    out = enumerate_faces(ctx, hard_neg + supports(Region.NEG), soft_pos, role, split)
-    if role in (Role.SOFT, Role.SINGULAR):
-        out |= enumerate_faces(
-            ctx, hard_singletons(split.pos) + supports(Region.POS), soft_neg, role, split
-        )
+    hard_neg = _with_role(ctx, split.neg, Role.HARD)
+    soft_pos = _with_role(ctx, split.pos, Role.SOFT)
+    out = enumerate_faces(ctx, _seeds(hard_neg, regions, Region.NEG), soft_pos, role, split)
     if role is Role.HARD:
-        out |= enumerate_faces(
-            ctx, hard_singletons(split.zero) + supports(Region.ZERO), soft_pos, role, split
-        )
-    if ctx.producing is Side.CON and role is not Role.HARD:
+        return out
+    hard_pos = _with_role(ctx, split.pos, Role.HARD)
+    soft_neg = _with_role(ctx, split.neg, Role.SOFT)
+    out |= enumerate_faces(ctx, _seeds(hard_pos, regions, Region.POS), soft_neg, role, split)
+    if ctx.producing is Side.CON:
         # Two strict rows on opposite sides that are not adjacent meet in a
         # face no soft extension reaches (a closure point can cut the vertex
         # where they cross).  Adjacent pairs need nothing: their hard
         # combination already excludes that face.  Nor does an added point:
         # the kept strict row stays hard and in every such support, so
         # nonredundant_union would drop them all.
-        hard_pos = [i for i in sorted(split.pos) if ctx.elems[i].role is Role.HARD]
-        for seed in hard_neg:
-            (m,) = seed
+        for m in hard_neg:
             far = [p for p in hard_pos if (p, m) not in split.adjacent_pairs]
             if far:
-                out |= enumerate_faces(ctx, [seed], far, role, split)
+                out |= enumerate_faces(ctx, [frozenset({m})], far, role, split)
     return out
 
 
@@ -327,13 +333,15 @@ def promote_singletons(ctx: ConvCtx) -> None:
         ctx.ns = {ns for ns in ctx.ns if not ns & promoted}
 
 
-def violating_singular(ctx: ConvCtx, role: Role, split: _Split, vid: int) -> None:
-    """The new row does not saturate a line-like element.
+def violating_singular(ctx: ConvCtx, split: _Split, vid: int) -> None:
+    """The new row does not saturate the line-like element ``vid``: pivot it
+    into the half that satisfies the row.
 
-    Keep the half of that element satisfying the row, rewrite every other
-    non-saturating element against it (which leaves saturation rows as they
-    were), then apply the row's own effect: a sign-free row discards the
-    half, a strict row weakens the point-like elements it saturates.
+    The half becomes a soft element on the positive side, and every other
+    element the row does not saturate is rewritten against it onto the
+    hyperplane (which leaves saturation rows as they were).  The ordinary
+    step then applies the row's own effect: a sign-free row drops the half,
+    a soft row keeps it, a strict row weakens what it saturates.
     """
     sv = split.sps[vid]
     half = ctx.elems[vid].row if sv > 0 else normalize(tuple(-x for x in ctx.elems[vid].row))
@@ -360,30 +368,20 @@ def violating_singular(ctx: ConvCtx, role: Role, split: _Split, vid: int) -> Non
         if e.role is not Role.SINGULAR:
             split.zero.add(eid)
 
-    if role is Role.SINGULAR:
-        split.pos.discard(vid)
-        del split.sps[vid]
-        ctx.drop_elem(vid)
-    elif role is Role.HARD:
-        strict_on_eq_points(ctx, split)
-    # a soft row keeps the half as a plain soft element; nothing else moves
 
-
-def strict_on_eq_points(ctx: ConvCtx, split: _Split) -> None:
-    """A strict row saturates part of the skeleton: saturated hard elements
-    soften, and each face they or the saturated supports span with one soft
-    positive element gets a fresh support.  Supports confined to the
-    saturated part die with the boundary."""
-    regions = _classify_all(ctx, split)
-    seeds = [frozenset({i}) for i in sorted(split.zero) if ctx.elems[i].role is Role.HARD]
-    seeds += sorted((ns for ns, r in regions.items() if r is Region.ZERO), key=sorted)
-    for i in split.zero:
-        if ctx.elems[i].role is Role.HARD:
-            ctx.elems[i].role = Role.SOFT
-    soft_pos = [i for i in sorted(split.pos) if ctx.elems[i].role is Role.SOFT]
-    star = enumerate_faces(ctx, seeds, soft_pos, Role.HARD, split)
-    kept = {ns for ns, r in regions.items() if r is Region.POS}
-    ctx.ns = nonredundant_union(kept, star, hard=ctx.hard_ids())
+def strict_on_eq_points(
+    ctx: ConvCtx, split: _Split, regions: dict[frozenset[int], Region]
+) -> set[frozenset[int]]:
+    """A strict row saturates part of the skeleton: the saturated hard
+    elements soften, and each face they or the saturated supports span with
+    one soft positive element comes back as a fresh support.  The only
+    place where a strict row softens what it saturates."""
+    hard_zero = _with_role(ctx, split.zero, Role.HARD)
+    seeds = _seeds(hard_zero, regions, Region.ZERO)
+    for i in hard_zero:
+        ctx.elems[i].role = Role.SOFT
+    soft_pos = _with_role(ctx, split.pos, Role.SOFT)
+    return enumerate_faces(ctx, seeds, soft_pos, Role.HARD, split)
 
 
 def _regular(ctx: ConvCtx, role: Role, split: _Split) -> None:
@@ -408,9 +406,7 @@ def _regular(ctx: ConvCtx, role: Role, split: _Split) -> None:
         kept = {ns for ns, r in regions.items() if r in (Region.POS, Region.ZERO)}
     else:
         doomed = set(split.neg)
-        for i in split.zero:
-            if ctx.elems[i].role is Role.HARD:
-                ctx.elems[i].role = Role.SOFT
+        created |= strict_on_eq_points(ctx, split, regions)
         kept = {ns for ns, r in regions.items() if r is Region.POS}
 
     for eid in doomed:
@@ -424,6 +420,8 @@ def _regular(ctx: ConvCtx, role: Role, split: _Split) -> None:
 
 
 def process_row(ctx: ConvCtx, row: Row, role: Role) -> None:
+    """One step per row: a violated line-like element is pivoted first, then
+    the ordinary step runs."""
     if len(row) != ctx.dim + 1:
         raise DimensionError(f"row has {len(row) - 1} coordinates, context has {ctx.dim}")
     ctx.counters.iterations += 1
@@ -431,21 +429,12 @@ def process_row(ctx: ConvCtx, row: Row, role: Role) -> None:
         ctx.counters.sizes.append(0)
         return
     split = partition_elems(ctx, row)
-    vid = next(
-        (
-            eid
-            for eid in sorted(ctx.elems)
-            if ctx.elems[eid].role is Role.SINGULAR and split.sps[eid] != 0
-        ),
-        None,
-    )
-    if vid is not None:
-        violating_singular(ctx, role, split, vid)
-    else:
-        _regular(ctx, role, split)
+    if split.violated is not None:
+        violating_singular(ctx, split, split.violated)
+    _regular(ctx, role, split)
     if not ctx.empty:
         promote_singletons(ctx)
-        ctx.sat.add_col([eid for eid in ctx.elems if split.sps.get(eid, 0) == 0])
+        ctx.sat.add_col([eid for eid in ctx.elems if split.sps[eid] == 0])
     ctx.counters.sizes.append(len(ctx.elems) + len(ctx.ns))
 
 

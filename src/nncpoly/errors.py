@@ -14,7 +14,9 @@ class DimensionError(NncPolyError):
 
 
 class CombineError(NncPolyError):
-    """combine() was called on rows whose scalar products do not have opposite signs."""
+    """A combination was asked of rows whose scalar products cannot cancel:
+    ``combine_with_products`` needs opposite signs, ``eliminate`` a nonzero
+    pivot product."""
 
 
 class KindError(NncPolyError):
@@ -25,20 +27,20 @@ class EmptySystem(NncPolyError):
     """An operation that needs at least one row/generator got an empty system."""
 
 
-class StaleIdError(NncPolyError):
-    """A support references a skeleton id that is no longer alive."""
-
-
-class EmptySupportError(NncPolyError):
-    """A support projection came out empty, which signals stale bookkeeping."""
-
-
 class ScaleLimitExceeded(NncPolyError):
     """A desk-scale-only helper was invoked beyond its documented size bounds."""
 
 
 class InvariantError(NncPolyError):
     """An engine's internal invariant broke; the result cannot be trusted."""
+
+
+class StaleIdError(InvariantError):
+    """A support references a skeleton id that is no longer alive."""
+
+
+class EmptySupportError(InvariantError):
+    """A support projection came out empty, which signals stale bookkeeping."""
 
 
 class ParseError(NncPolyError):

@@ -69,19 +69,11 @@ def combine_with_products(gp: Sequence[int], gm: Sequence[int], sp: int, sm: int
     return normalize(tuple((-sm) * a + sp * b for a, b in zip(gp, gm)))
 
 
-def combine(c: Sequence[int], gp: Sequence[int], gm: Sequence[int]) -> Row:
-    """combine(c, gp, gm): positive combination of gp and gm saturating c.
-
-    gp must satisfy c strictly and gm must violate it; the result saturates
-    it, which is readily rechecked by ``scalar_prod(c, combine(c, gp, gm))``.
-    """
-    return combine_with_products(gp, gm, scalar_prod(c, gp), scalar_prod(c, gm))
-
-
 def eliminate(keep: Sequence[int], pivot: Sequence[int], sk: int, sv: int) -> Row:
     """Cross-elimination for bidirectional rows: sv*keep - sk*pivot, which
     saturates the row the products sk (of keep) and sv (of pivot) were taken
-    against.  Unlike combine(), signs are unconstrained (sv must be nonzero)."""
+    against.  Unlike combine_with_products(), signs are unconstrained (sv
+    must be nonzero)."""
     if sv == 0:
         raise CombineError("pivot row does not meet the hyperplane")
     return normalize(tuple(sv * a - sk * b for a, b in zip(keep, pivot)), bidirectional=True)
@@ -94,10 +86,3 @@ def rational_point_row(coords: Iterable[Fraction | int]) -> Row:
     for f in fracs:
         d = d * f.denominator // gcd(d, f.denominator)
     return normalize((d, *(int(f * d) for f in fracs)))
-
-
-def row_point(row: Sequence[int]) -> tuple[Fraction, ...]:
-    """Rational coordinates of a point-like row (slot 0 positive)."""
-    if row[0] <= 0:
-        raise InvalidVector(f"slot 0 not positive: {row[0]}")
-    return tuple(Fraction(x, row[0]) for x in row[1:])

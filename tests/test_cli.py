@@ -2,9 +2,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from nncpoly import conversion
 from nncpoly.cli import main
-from nncpoly.errors import InvariantError
+from nncpoly.errors import EmptySupportError, InvariantError, StaleIdError
 
 BOX_INE = """\
 H-representation
@@ -102,6 +104,18 @@ def test_missing_file_exits_2(tmp_path, capsys):
 def test_broken_invariant_exits_3(tmp_path, monkeypatch, capsys):
     def broken(*_args):
         raise InvariantError("support lost its position row")
+
+    monkeypatch.setattr(conversion, "process_row", broken)
+    src = write(tmp_path, "box.ine", BOX_INE)
+    assert main(["convert", src]) == 3
+    assert "invariant" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [StaleIdError, EmptySupportError])
+def test_stale_bookkeeping_exits_3(tmp_path, monkeypatch, capsys, error):
+    # stale ids and empty supports are engine faults, not usage errors
+    def broken(*_args):
+        raise error("stale bookkeeping")
 
     monkeypatch.setattr(conversion, "process_row", broken)
     src = write(tmp_path, "box.ine", BOX_INE)

@@ -9,7 +9,7 @@ hand-derived outcome.
 import pytest
 
 from corpus import CUT_VERTEX_GENS
-from nncpoly import conversion
+from nncpoly import conversion, eps
 from nncpoly.conversion import (
     ConvCtx,
     Role,
@@ -287,6 +287,58 @@ def test_added_closure_point_still_closes_strict_pairs(monkeypatch):
     assert (Role.HARD, True) not in seen
     back = conversion_g2c(list(reversed(CUT_VERTEX_GENS)))
     assert dump_cons(fwd) == dump_cons(back)
+
+
+# The unit square at z = 0 with its corner (1, 1) open: after the closure
+# point the strict row 2 - x - y > 0 lives as a support, and the last
+# generator breaks the equality z = 0 while that support is live.
+OPEN_CORNER_GENS = [
+    Generator((1, 0, 0, 0), GenKind.POINT),
+    Generator((1, 1, 0, 0), GenKind.POINT),
+    Generator((1, 0, 1, 0), GenKind.POINT),
+    Generator((1, 1, 1, 0), GenKind.CLOSURE_POINT),
+]
+OPEN_CORNER_SIDES = [
+    ((0, 1, 0, 0), "NONSTRICT"),
+    ((0, 0, 1, 0), "NONSTRICT"),
+    ((1, -1, 0, 0), "NONSTRICT"),
+    ((1, 0, -1, 0), "NONSTRICT"),
+    ((2, -1, -1, 0), "STRICT"),
+]
+
+
+@pytest.mark.parametrize(
+    "last, expected",
+    [
+        (Generator((0, 0, 0, 1), GenKind.LINE), OPEN_CORNER_SIDES),
+        (Generator((0, 0, 0, 1), GenKind.RAY), OPEN_CORNER_SIDES + [((0, 0, 0, 1), "NONSTRICT")]),
+        (
+            Generator((0, 1, 1, 1), GenKind.LINE),
+            [
+                ((0, 1, 0, -1), "NONSTRICT"),
+                ((0, 0, 1, -1), "NONSTRICT"),
+                ((1, -1, 0, 1), "NONSTRICT"),
+                ((1, 0, -1, 1), "NONSTRICT"),
+                ((2, -1, -1, 2), "STRICT"),
+            ],
+        ),
+    ],
+    ids=["line", "ray", "slanted-line"],
+)
+def test_generator_breaks_an_equality_under_a_live_support(monkeypatch, last, expected):
+    live = []
+    violating_singular = conversion.violating_singular
+
+    def spy(ctx, *args):
+        live.append(bool(ctx.ns))
+        return violating_singular(ctx, *args)
+
+    monkeypatch.setattr(conversion, "violating_singular", spy)
+    gens = OPEN_CORNER_GENS + [last]
+    got = dump_cons(conversion_g2c(gens))
+    assert live[-1]
+    assert got == sorted(expected)
+    assert got == sorted((c.row, c.kind.name) for c in eps.eps_g2c(gens)[0])
 
 
 def test_generators_need_a_point():

@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 from nncpoly.errors import CombineError, DimensionError, InvalidVector
 from nncpoly.homvec import (
     check_vector,
-    combine,
     combine_with_products,
     eliminate,
     normalize,
     rational_point_row,
-    row_point,
     scalar_prod,
 )
 
@@ -48,15 +46,15 @@ def test_check_vector_rejects_bad_rows():
 
 def test_combine_lands_on_hyperplane():
     # points 0 and 4 against x <= 2 meet at 2
-    assert combine((2, -1), (1, 0), (1, 4)) == (1, 2)
-    assert combine_with_products((1, 0), (1, 4), 2, -2) == (1, 2)
+    c, gp, gm = (2, -1), (1, 0), (1, 4)
+    assert combine_with_products(gp, gm, scalar_prod(c, gp), scalar_prod(c, gm)) == (1, 2)
 
 
 def test_combine_requires_opposite_signs():
     with pytest.raises(CombineError):
         combine_with_products((1, 0), (1, 4), 2, 2)
     with pytest.raises(CombineError):
-        combine((0, 0), (1, 4), (1, 0))
+        combine_with_products((1, 4), (1, 0), 0, -1)
 
 
 def test_eliminate_zeroes_pivot_product():
@@ -68,10 +66,6 @@ def test_eliminate_zeroes_pivot_product():
 def test_rational_point_row_clears_denominators():
     assert rational_point_row([Fraction(1, 2), Fraction(2, 3)]) == (6, 3, 4)
     assert rational_point_row([1, 2]) == (1, 1, 2)
-
-
-def test_row_point_roundtrip():
-    assert row_point((6, 3, 4)) == (Fraction(1, 2), Fraction(2, 3))
 
 
 coords = st.lists(st.integers(-50, 50), min_size=2, max_size=5)
@@ -103,8 +97,8 @@ def test_combine_saturates_the_cutting_row(c, gp, gm):
         return
     if not any(-sm * a + sp * b for a, b in zip(gp, gm)):
         # antiparallel pair; the engine stores those as a single line and
-        # never feeds them to combine
+        # never feeds them to combine_with_products
         return
-    out = combine(tuple(c), tuple(gp), tuple(gm))
+    out = combine_with_products(tuple(gp), tuple(gm), sp, sm)
     assert scalar_prod(c, out) == 0
     assert any(out)

@@ -2,15 +2,19 @@
 
 The runtime core must not reach the exponential desk-scale oracles or the
 independent eps route, and no module may hide an import inside a function
-(such imports are how import cycles get papered over).
+(such imports are how import cycles get papered over).  Every phase the
+benchmark tracer times must still exist under its name.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "nncpoly"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "nncpoly"
 RUNTIME = ("homvec", "systems", "satlat", "conversion", "polyhedron", "formats", "counting", "errors")
 MODULES = sorted(SRC.glob("*.py"))
 
@@ -51,3 +55,18 @@ def test_no_function_level_imports(path):
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             inner = [n for n in ast.walk(fn) if isinstance(n, (ast.Import, ast.ImportFrom))]
             assert not inner, f"{path.name}:{inner[0].lineno} imports inside {fn.name}()"
+
+
+def test_traced_phases_exist():
+    # a phase renamed or deleted here would silently drop out of the
+    # benchmark's traced run (perfbench/run.py --trace 1)
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, path, _name in tracer.SPANS:
+        owner = importlib.import_module(module)
+        assert Path(owner.__file__).resolve().parent == SRC, module
+        for attr in path.split("."):
+            assert hasattr(owner, attr), f"{module}.{path}"
+            owner = getattr(owner, attr)
+        assert callable(owner), f"{module}.{path}"
