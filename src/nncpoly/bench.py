@@ -4,12 +4,13 @@ The D-dimensional dual hypercube has one facet per sign vector.  Variants
 differ in the right-hand offset and in which two facets stay nonstrict, so
 hulls and intersections of them exercise the strictness machinery.  The
 same workload runs through the direct engine and through the slack-encoded
-closed route, and the interesting number is the largest intermediate
-representation either route carries.
+closed route, and the interesting numbers are the largest intermediate
+representation either route carries and each route's wall time.
 """
 
 from __future__ import annotations
 
+import time
 from itertools import product
 from typing import Sequence
 
@@ -75,14 +76,19 @@ def _workload_eps(variants: Sequence[list[Constraint]]):
 
 def bench_dual_hypercube(dim: int) -> dict:
     """Two hulls and one intersection over four cross-polytope variants,
-    once per route.  Returns max intermediate sizes and operation totals."""
+    once per route.  Returns max intermediate sizes, operation totals and
+    each route's wall time in seconds (machine-dependent)."""
     variants = [
         build_dual_hypercube(dim, offset, pattern)
         for offset in (1, 2)
         for pattern in ("poles", "first")
     ]
+    started = time.perf_counter()
     direct = _workload_direct(variants)
+    direct_s = time.perf_counter() - started
+    started = time.perf_counter()
     encoded = _workload_eps(variants)
+    eps_s = time.perf_counter() - started
     new_sizes = [s for ctx in direct for s in ctx.counters.sizes]
     eps_sizes = [s for cone in encoded for s in cone.counters.sizes]
     return {
@@ -92,10 +98,12 @@ def bench_dual_hypercube(dim: int) -> dict:
             "max_size": max(new_sizes, default=0),
             "vec_ops": sum(c.counters.vec_ops for c in direct),
             "sat_ops": sum(c.counters.sat_ops for c in direct),
+            "wall_s": direct_s,
         },
         "eps": {
             "max_size": max(eps_sizes, default=0),
             "vec_ops": sum(c.counters.vec_ops for c in encoded),
             "sat_ops": sum(c.counters.sat_ops for c in encoded),
+            "wall_s": eps_s,
         },
     }

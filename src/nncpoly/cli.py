@@ -116,6 +116,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(
             f"  {route:4s} max_size={r['max_size']:6d}"
             f"  vec_ops={r['vec_ops']:8d}  sat_ops={r['sat_ops']:8d}"
+            f"  wall_s={r['wall_s']:8.4f}"
         )
     if args.stats:
         Path(args.stats).write_text(json.dumps(report, indent=2) + "\n")

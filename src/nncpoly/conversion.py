@@ -83,6 +83,8 @@ class _Split:
     neg: set[int]
     violated: int | None = None
     adjacent_pairs: set[tuple[int, int]] = field(default_factory=set)
+    cands: int = 0  # id mask of the non-singular elements after combining
+    keep: int = 0  # id mask of the elements on the kept side of the row
 
 
 @dataclass
@@ -231,39 +233,37 @@ def _classify_all(ctx: ConvCtx, split: _Split) -> dict[frozenset[int], Region]:
 
 
 def _close_and_keep(
-    ctx: ConvCtx, split: _Split, role: Role, supports: Iterable[frozenset[int]]
+    ctx: ConvCtx, split: _Split, supports: Iterable[frozenset[int]]
 ) -> set[frozenset[int]]:
     """Close each support over the non-singular elements and keep the part
     on the kept side of the new row; empty results vanish."""
-    cands = id_mask(ctx.nonsingular_ids())
-    keep = proj(cands, role is Role.HARD, id_mask(split.zero), id_mask(split.neg))
+    cands, keep = split.cands, split.keep
     out = {supp_cl(ctx.sat, ns, cands) & keep for ns in supports}
     out.discard(0)
     return {mask_ids(m) for m in out}
 
 
 def move_ns(
-    ctx: ConvCtx, split: _Split, role: Role, regions: dict[frozenset[int], Region]
+    ctx: ConvCtx, split: _Split, regions: dict[frozenset[int], Region]
 ) -> set[frozenset[int]]:
     """Reattach supports that straddle the new row to the kept side."""
     mixed = [ns for ns, region in regions.items() if region is Region.MIX]
-    return _close_and_keep(ctx, split, role, mixed) if mixed else set()
+    return _close_and_keep(ctx, split, mixed) if mixed else set()
 
 
 def enumerate_faces(
     ctx: ConvCtx,
-    seeds: Iterable[frozenset[int]],
+    seeds: Sequence[frozenset[int]],
     extensions: Iterable[int],
-    role: Role,
     split: _Split,
 ) -> set[frozenset[int]]:
     """Supports of faces reached by stretching each seed with one soft
     element from the far side of the new row."""
     exts = sorted(extensions)
-    if not exts:
+    if not exts or not seeds:
         return set()
     stretched = (seed | {s} for seed in seeds for s in exts if s not in seed)
-    return _close_and_keep(ctx, split, role, stretched)
+    return _close_and_keep(ctx, split, stretched)
 
 
 def _with_role(ctx: ConvCtx, ids: Iterable[int], role: Role) -> list[int]:
@@ -293,12 +293,12 @@ def create_ns(
     """
     hard_neg = _with_role(ctx, split.neg, Role.HARD)
     soft_pos = _with_role(ctx, split.pos, Role.SOFT)
-    out = enumerate_faces(ctx, _seeds(hard_neg, regions, Region.NEG), soft_pos, role, split)
+    out = enumerate_faces(ctx, _seeds(hard_neg, regions, Region.NEG), soft_pos, split)
     if role is Role.HARD:
         return out
     hard_pos = _with_role(ctx, split.pos, Role.HARD)
     soft_neg = _with_role(ctx, split.neg, Role.SOFT)
-    out |= enumerate_faces(ctx, _seeds(hard_pos, regions, Region.POS), soft_neg, role, split)
+    out |= enumerate_faces(ctx, _seeds(hard_pos, regions, Region.POS), soft_neg, split)
     if ctx.producing is Side.CON:
         # Two strict rows on opposite sides that are not adjacent meet in a
         # face no soft extension reaches (a closure point can cut the vertex
@@ -309,7 +309,7 @@ def create_ns(
         for m in hard_neg:
             far = [p for p in hard_pos if (p, m) not in split.adjacent_pairs]
             if far:
-                out |= enumerate_faces(ctx, [frozenset({m})], far, role, split)
+                out |= enumerate_faces(ctx, [frozenset({m})], far, split)
     return out
 
 
@@ -381,7 +381,7 @@ def strict_on_eq_points(
     for i in hard_zero:
         ctx.elems[i].role = Role.SOFT
     soft_pos = _with_role(ctx, split.pos, Role.SOFT)
-    return enumerate_faces(ctx, seeds, soft_pos, Role.HARD, split)
+    return enumerate_faces(ctx, seeds, soft_pos, split)
 
 
 def _regular(ctx: ConvCtx, role: Role, split: _Split) -> None:
@@ -395,7 +395,10 @@ def _regular(ctx: ConvCtx, role: Role, split: _Split) -> None:
 
     regions = _classify_all(ctx, split)
     combine_adjacent(ctx, role, split)
-    moved = move_ns(ctx, split, role, regions)
+    # Fixed for the rest of the step: later phases only soften hard elements.
+    split.cands = id_mask(ctx.nonsingular_ids())
+    split.keep = proj(split.cands, role is Role.HARD, id_mask(split.zero), id_mask(split.neg))
+    moved = move_ns(ctx, split, regions)
     created = create_ns(ctx, split, role, regions)
 
     if role is Role.SINGULAR:
@@ -411,7 +414,12 @@ def _regular(ctx: ConvCtx, role: Role, split: _Split) -> None:
 
     for eid in doomed:
         ctx.drop_elem(eid)
-    ctx.ns = nonredundant_union(kept, moved, created, hard=ctx.hard_ids())
+    if moved or created:
+        ctx.ns = nonredundant_union(kept, moved, created, hard=ctx.hard_ids())
+    else:
+        # kept is part of the incoming family, which is already minimal and
+        # free of hard elements, and no existing element turned hard
+        ctx.ns = kept
 
     if not any(e.role is not Role.SINGULAR for e in ctx.elems.values()):
         if ctx.producing is Side.CON:

@@ -12,9 +12,11 @@ class OpCounters:
     vec_ops counts scalar products and linear combinations of coefficient
     rows; sat_ops counts bitset operations, each row intersection and
     each column AND of a support closure (adjacency tests included)
-    counting 1 regardless of word width; iterations counts processed input
-    rows; sizes records the representation size (skeleton cardinality plus
-    number of stored supports) after each iteration.
+    counting 1 regardless of word width, and so does each rank
+    quick-reject of the eps route (the intersection of two rows, then a
+    popcount); iterations counts processed input rows; sizes records the
+    representation size (skeleton cardinality plus number of stored
+    supports) after each iteration.
     """
 
     vec_ops: int = 0

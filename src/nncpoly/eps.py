@@ -9,8 +9,9 @@ must leave positive.
 
 The counting discipline matches the direct engine (one vec_op per scalar
 product and per linear combination, saturation work and adjacency through
-the same kernel in ``satlat``), so operation counts of the two routes are
-comparable.
+the same kernel in ``satlat``), so vec_ops of the two routes are
+comparable.  sat_ops here also include the rank quick-reject of the pair
+loop, one per positive/negative pair, which the direct engine does not run.
 """
 
 from __future__ import annotations
@@ -140,8 +141,17 @@ def closed_add_row(cone: ClosedCone, row: Row, line: bool) -> None:
         neg = sorted(eid for eid, e in cone.elems.items() if not e.line and sps[eid] < 0)
         if pos or neg:
             witnesses = id_mask(eid for eid, e in cone.elems.items() if not e.line)
+            # Rank quick-reject (Fukuda & Prodon 1996), as in PPL: adjacent
+            # rays share at least rank - 2 = (dim + 1 - #lines) - 2 saturated
+            # rows, so a pair sharing fewer skips the closure.
+            need = cone.dim - 1 - sum(e.line for e in cone.elems.values())
+            bits = cone.sat.bits
+            cone.counters.sat_ops += len(pos) * len(neg)
             for p in pos:
+                bp = bits[p]
                 for m in neg:
+                    if (bp & bits[m]).bit_count() < need:
+                        continue
                     if not adjacent(cone.sat, p, m, witnesses):
                         continue
                     combined = combine_with_products(

@@ -39,3 +39,6 @@ def test_bench_report_shape():
     rep = bench_dual_hypercube(3)
     assert (rep["new"]["vec_ops"], rep["new"]["max_size"]) == (556, 8)
     assert (rep["eps"]["vec_ops"], rep["eps"]["max_size"]) == (1714, 18)
+    # eps saturation work with the rank quick-reject: 1600 in closures and
+    # row intersections, 666 quick tests (one per positive/negative pair)
+    assert rep["eps"]["sat_ops"] == 2266

@@ -131,6 +131,8 @@ def test_bench_subcommand(tmp_path, capsys):
     rep = json.loads(stats.read_text())
     assert rep["new"]["max_size"] > 0
     assert rep["eps"]["max_size"] >= rep["new"]["max_size"]
+    assert rep["new"]["wall_s"] > 0 and rep["eps"]["wall_s"] > 0
+    assert "wall_s=" in out
 
 
 def test_console_script_runs():

@@ -8,7 +8,7 @@ hand-derived outcome.
 
 import pytest
 
-from corpus import CUT_VERTEX_GENS
+from corpus import CUT_VERTEX_GENS, nnc_corpus
 from nncpoly import conversion, eps
 from nncpoly.conversion import (
     ConvCtx,
@@ -25,6 +25,7 @@ from nncpoly.conversion import (
     universe_gen_ctx,
 )
 from nncpoly.errors import DimensionError, EmptySystem, KindError
+from nncpoly.satlat import minimal_family
 from nncpoly.systems import ConKind, Constraint, GenKind, Generator
 
 
@@ -252,13 +253,20 @@ def spy_hard_extensions(monkeypatch):
     """Record (role of the added row, any extension hard) per face
     enumeration."""
     seen = []
+    roles = []
+    process_row = conversion.process_row
     enumerate_faces = conversion.enumerate_faces
 
-    def spy(ctx, seeds, extensions, role, split):
-        exts = list(extensions)
-        seen.append((role, any(ctx.elems[e].role is Role.HARD for e in exts)))
-        return enumerate_faces(ctx, seeds, exts, role, split)
+    def row_spy(ctx, row, role):
+        roles.append(role)
+        return process_row(ctx, row, role)
 
+    def spy(ctx, seeds, extensions, split):
+        exts = list(extensions)
+        seen.append((roles[-1], any(ctx.elems[e].role is Role.HARD for e in exts)))
+        return enumerate_faces(ctx, seeds, exts, split)
+
+    monkeypatch.setattr(conversion, "process_row", row_spy)
     monkeypatch.setattr(conversion, "enumerate_faces", spy)
     return seen
 
@@ -396,6 +404,29 @@ def test_incremental_equals_one_shot():
     staged = conversion_c2g(rows[:1])
     staged = conversion_c2g(rows[1:], base=staged)
     assert dump_gens(staged) == dump_gens(one_shot)
+
+
+def test_every_step_leaves_a_minimal_soft_family(monkeypatch):
+    # a step that moves and creates nothing keeps the incoming supports
+    # without a union; that is sound only while every step leaves the
+    # family an antichain that meets no hard element
+    step = conversion.process_row
+    steps = 0
+
+    def checked(ctx, row, role):
+        nonlocal steps
+        step(ctx, row, role)
+        steps += 1
+        assert ctx.ns == minimal_family(ctx.ns)
+        hard = ctx.hard_ids()
+        assert not any(ns & hard for ns in ctx.ns)
+
+    monkeypatch.setattr(conversion, "process_row", checked)
+    for dim, rows in nnc_corpus():
+        gens = emit_generators(conversion_c2g(rows, dim=dim))
+        if gens:
+            conversion_g2c(gens)
+    assert steps > 1000
 
 
 def test_wrong_side_feeding_raises():

@@ -6,10 +6,14 @@ result is decoded.  The tests pin the encoding rules and check both routes
 land on the same sets.
 """
 
+import random
+
 import pytest
 
 from nncpoly import eps, oracle
 from nncpoly.errors import EmptySystem, KindError
+from nncpoly.homvec import combine_with_products, scalar_prod
+from nncpoly.satlat import adjacent, id_mask
 from nncpoly.systems import ConKind, Constraint, GenKind, Generator
 
 
@@ -198,3 +202,57 @@ def test_counting_matches_the_direct_engine_on_closed_input():
     direct_g = conversion_g2c(corners)
     cone_g = eps.closed_g2c(list(corners))
     assert direct_g.counters.vec_ops == cone_g.counters.vec_ops == 13
+
+
+def random_closed_system(rng: random.Random, dim: int) -> list[Constraint]:
+    rows = []
+    for _ in range(rng.randint(dim + 1, 3 * dim)):
+        a = [rng.randint(-4, 4) for _ in range(dim)]
+        if not any(a):
+            a[0] = 1
+        if rng.random() < 0.1:
+            rows.append(Constraint(tuple([0] + a), ConKind.EQUALITY))
+        else:
+            rows.append(Constraint(tuple([rng.randint(-1, 5)] + a), ConKind.NONSTRICT))
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rank_quick_reject_drops_no_adjacent_pair(monkeypatch, seed):
+    """At every step with a pair loop, each pair the unfiltered scan finds
+    adjacent shares at least rank - 2 saturated rows, and the filtered step
+    combines exactly the pairs of the unfiltered scan, in order."""
+    step = eps.closed_add_row
+    rejected = 0
+
+    def reference_scan(cone, row, line):
+        nonlocal rejected
+        sps = {eid: scalar_prod(row, e.row) for eid, e in cone.elems.items()}
+        lines = [eid for eid, e in cone.elems.items() if e.line]
+        if cone.empty or any(sps[eid] for eid in lines):
+            return step(cone, row, line)  # no pair loop on this step
+        rays = [eid for eid in sorted(cone.elems) if eid not in lines]
+        pos = [eid for eid in rays if sps[eid] > 0]
+        neg = [eid for eid in rays if sps[eid] < 0]
+        need = cone.dim - 1 - len(lines)
+        bits = cone.sat.bits
+        pairs = [(p, m) for p in pos for m in neg if adjacent(cone.sat, p, m, id_mask(rays))]
+        for p, m in pairs:
+            assert (bits[p] & bits[m]).bit_count() >= need
+        rejected += sum((bits[p] & bits[m]).bit_count() < need for p in pos for m in neg)
+        want = [
+            combine_with_products(cone.elems[p].row, cone.elems[m].row, sps[p], sps[m])
+            for p, m in pairs
+        ]
+        first = cone.next_id
+        step(cone, row, line)
+        assert [cone.elems[eid].row for eid in range(first, cone.next_id)] == want
+
+    monkeypatch.setattr(eps, "closed_add_row", reference_scan)
+    rng = random.Random(seed)
+    for dim in (2, 3, 4, 5):
+        cone = eps.closed_c2g(random_closed_system(rng, dim))
+        gens = eps.closed_generators(cone)
+        if gens:
+            eps.closed_g2c(gens)
+    assert rejected > 0
