@@ -211,8 +211,9 @@ def combine_adjacent(ctx: ConvCtx, role: Role, split: _Split) -> list[int]:
     """
     witnesses = id_mask(split.pos | split.zero | split.neg)
     new_ids: list[int] = []
+    negs = sorted(split.neg)
     for p in sorted(split.pos):
-        for m in sorted(split.neg):
+        for m in negs:
             if not adjacent(ctx.sat, p, m, witnesses):
                 continue
             split.adjacent_pairs.add((p, m))
@@ -315,8 +316,10 @@ def create_ns(
 
 def promote_singletons(ctx: ConvCtx) -> None:
     """A single-element support means that element itself is included, so
-    fold it into the skeleton as a hard element."""
-    promoted: set[int] = set()
+    fold it into the skeleton as a hard element.
+
+    The family must be an antichain, as every step leaves it: then no other
+    support contains a promoted element, and none needs dropping."""
     for ns in sorted(ctx.ns, key=sorted):
         if len(ns) != 1:
             continue
@@ -327,10 +330,7 @@ def promote_singletons(ctx: ConvCtx) -> None:
         if ctx.producing is Side.GEN and e.row[0] == 0:
             continue
         e.role = Role.HARD
-        promoted.add(m)
         ctx.ns.discard(ns)
-    if promoted:
-        ctx.ns = {ns for ns in ctx.ns if not ns & promoted}
 
 
 def violating_singular(ctx: ConvCtx, split: _Split, vid: int) -> None:

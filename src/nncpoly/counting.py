@@ -14,9 +14,11 @@ class OpCounters:
     each column AND of a support closure (adjacency tests included)
     counting 1 regardless of word width, and so does each rank
     quick-reject of the eps route (the intersection of two rows, then a
-    popcount); iterations counts processed input rows; sizes records the
-    representation size (skeleton cardinality plus number of stored
-    supports) after each iteration.
+    popcount).  A closure is charged one sat_op per shared column even
+    when its walk stops early because no candidate is left, so sat_ops
+    stays the modelled cost of the full walk; iterations counts processed
+    input rows; sizes records the representation size (skeleton
+    cardinality plus number of stored supports) after each iteration.
     """
 
     vec_ops: int = 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import CombineError, DimensionError, InvalidVector
@@ -20,7 +21,13 @@ Row = tuple[int, ...]
 
 
 def check_vector(vec: Sequence[int], dim: int | None = None) -> None:
-    """Validate a row: integer entries, length dim+1, not all zero."""
+    """Validate a row: integer entries, length dim+1, not all zero.
+
+    This is the one per-entry type check.  It runs at the boundary, when a
+    ``Constraint`` or ``Generator`` is built (and so on every row that
+    ``parse_ine``/``parse_ext`` read); every row built inside the engines
+    is an int tuple made from such rows.
+    """
     if len(vec) < 2:
         raise InvalidVector(f"row needs at least 2 slots, got {len(vec)}")
     if dim is not None and len(vec) != dim + 1:
@@ -38,12 +45,17 @@ def normalize(vec: Sequence[int], bidirectional: bool = False) -> Row:
 
     Rows whose orientation carries no meaning (lines, equalities) are also
     sign-canonicalized so the first nonzero entry is positive.  Idempotent.
+
+    Raises ``InvalidVector`` on a row shorter than 2 or all zero, but does
+    not check entry types: that is ``check_vector``'s, run once at the
+    boundary.  A row whose gcd is 1 comes back as the same tuple.
     """
-    check_vector(vec)
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
-    out = tuple(x // g for x in vec)
+    if len(vec) < 2:
+        raise InvalidVector(f"row needs at least 2 slots, got {len(vec)}")
+    g = gcd(*vec)
+    if g == 0:
+        raise InvalidVector("all-zero row")
+    out = tuple(vec) if g == 1 else tuple(x // g for x in vec)
     if bidirectional:
         for x in out:
             if x:
@@ -57,7 +69,7 @@ def scalar_prod(c: Sequence[int], g: Sequence[int]) -> int:
     """Exact scalar product of two rows of equal length."""
     if len(c) != len(g):
         raise DimensionError(f"row lengths differ: {len(c)} vs {len(g)}")
-    return sum(a * b for a, b in zip(c, g))
+    return sum(map(mul, c, g))
 
 
 def combine_with_products(gp: Sequence[int], gm: Sequence[int], sp: int, sm: int) -> Row:

@@ -38,8 +38,11 @@ class SatMatrix:
     def new_row(self, eid: int, mask: int = 0) -> None:
         self.bits[eid] = mask
         bit = 1 << eid
-        for c in bit_indices(mask):
-            self.cols[c] |= bit
+        cols = self.cols
+        while mask:
+            low = mask & -mask
+            cols[low.bit_length() - 1] |= bit
+            mask ^= low
 
     def drop_row(self, eid: int) -> None:
         self.bits.pop(eid, None)
@@ -96,12 +99,16 @@ def mask_ids(mask: int) -> frozenset[int]:
 
 def supp_cl(sat: SatMatrix, members: Iterable[int], candidates: int) -> int:
     """Saturation closure of a support, as an id mask: the candidates that
-    saturate every column the members jointly saturate.  Each column ANDed
-    in counts one sat_op."""
+    saturate every column the members jointly saturate.  Each shared column
+    counts one sat_op, also those the walk skips: it stops once no candidate
+    is left, since ANDing more columns cannot bring one back."""
     common = sat.and_rows(members)
-    for c in bit_indices(common):
-        candidates &= sat.cols[c]
     sat.counters.sat_ops += common.bit_count()
+    cols = sat.cols
+    while common and candidates:
+        low = common & -common
+        candidates &= cols[low.bit_length() - 1]
+        common ^= low
     return candidates
 
 

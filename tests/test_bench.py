@@ -39,6 +39,8 @@ def test_bench_report_shape():
     rep = bench_dual_hypercube(3)
     assert (rep["new"]["vec_ops"], rep["new"]["max_size"]) == (556, 8)
     assert (rep["eps"]["vec_ops"], rep["eps"]["max_size"]) == (1714, 18)
-    # eps saturation work with the rank quick-reject: 1600 in closures and
-    # row intersections, 666 quick tests (one per positive/negative pair)
+    # saturation work: the direct engine's closures and row intersections,
+    # and the eps route's (1600) plus its 666 rank quick tests (one per
+    # positive/negative pair)
+    assert rep["new"]["sat_ops"] == 552
     assert rep["eps"]["sat_ops"] == 2266

@@ -132,10 +132,12 @@ def test_equality_cut_rebuilds_positive_side_supports():
 
 
 def test_promote_singleton_folds_into_skeleton():
-    ctx = square_ctx([{0}, {0, 2}])
+    # a minimal family, as every step leaves it: the singleton folds in and
+    # the support disjoint from it stays
+    ctx = square_ctx([{0}, {1, 2}])
     promote_singletons(ctx)
     assert ctx.elems[0].role is Role.HARD
-    assert ctx.ns == set()
+    assert ctx.ns == {frozenset({1, 2})}
 
 
 def test_rays_never_promote_on_generator_side():

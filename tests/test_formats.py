@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nncpoly.errors import ParseError
 from nncpoly.formats import emit_ext, emit_ine, parse_ext, parse_ine
@@ -96,6 +98,8 @@ def test_empty_ext_parses_to_no_generators():
         ("H-representation\nlinearity 1 5\nbegin\n 1 2 integer\n 1 1\nend\n", 2),
         ("H-representation\nstrict 1 1\nstrict 1 1\nbegin\n 1 2 integer\n 1 1\nend\n", 3),
         ("H-representation\nbegin\n 1 2 integer\n 1 x\nend\n", 4),
+        ("H-representation\nbegin\n 1 2 integer\n 1 1.5\nend\n", 4),
+        ("H-representation\nbegin\n 1 2 integer\n 1 1/2\nend\n", 4),
         ("H-representation\nbegin\n 1 2 integer\n 0 0\nend\n", 4),
         ("H-representation\nbegin\n 1 1 integer\n 1\nend\n", 3),
         ("H-representation\nbegin\n 1 2 integer\n 1 1\nend\nmore\n", 6),
@@ -123,6 +127,8 @@ def test_overlapping_markers():
     "text, lineno",
     [
         ("V-representation\nbegin\n 1 2 integer\n -1 1\nend\n", 4),
+        ("V-representation\nbegin\n 1 2 integer\n 1 1.5\nend\n", 4),
+        ("V-representation\nbegin\n 2 3 integer\n 1 0 0\n 0 0 0\nend\n", 5),
         ("V-representation\nlinearity 1 1\nbegin\n 1 2 integer\n 1 1\nend\n", 5),
         ("V-representation\nclosure 1 1\nbegin\n 1 2 integer\n 0 1\nend\n", 5),
     ],
@@ -150,3 +156,52 @@ def test_emitted_markers_round_numbers():
     vtext = emit_ext(gens, 2)
     assert "linearity 1 1" in vtext
     assert "closure 1 2" in vtext
+
+
+def _rows(draw, dim, n):
+    """n rows of length dim + 1 with a nonzero coordinate part, entries up
+    to 2**70."""
+    entry = st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70))
+    row = st.lists(entry, min_size=dim + 1, max_size=dim + 1).filter(lambda r: any(r[1:]))
+    return [tuple(draw(row)) for _ in range(n)]
+
+
+@st.composite
+def constraint_systems(draw):
+    dim = draw(st.integers(1, 4))
+    rows = _rows(draw, dim, draw(st.integers(0, 6)))
+    return [Constraint(r, draw(st.sampled_from(ConKind))) for r in rows], dim
+
+
+@st.composite
+def generator_systems(draw):
+    dim = draw(st.integers(1, 4))
+    gens = []
+    for r in _rows(draw, dim, draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(GenKind))
+        if kind in (GenKind.LINE, GenKind.RAY):
+            r = (0, *r[1:])
+        else:
+            r = (draw(st.integers(1, 2**40)), *r[1:])
+        gens.append(Generator(r, kind))
+    return gens, dim
+
+
+@given(constraint_systems())
+def test_ine_roundtrip_fuzz(system):
+    cons, dim = system
+    text = emit_ine(cons, dim)
+    again, dim2 = parse_ine(text)
+    assert dim2 == dim
+    assert [(c.row, c.kind) for c in again] == [(c.row, c.kind) for c in cons]
+    assert emit_ine(again, dim2) == text
+
+
+@given(generator_systems())
+def test_ext_roundtrip_fuzz(system):
+    gens, dim = system
+    text = emit_ext(gens, dim)
+    again, dim2 = parse_ext(text)
+    assert dim2 == dim
+    assert [(g.row, g.kind) for g in again] == [(g.row, g.kind) for g in gens]
+    assert emit_ext(again, dim2) == text

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -32,6 +33,25 @@ def test_normalize_bidirectional_flips_to_positive_lead():
 def test_scalar_prod():
     assert scalar_prod((1, 2, 3), (2, 1, 0)) == 4
     assert scalar_prod((2, -1), (1, 2)) == 0
+
+
+def test_normalize_rejects_short_and_zero_rows():
+    for bad in ((), (5,), (0, 0, 0)):
+        with pytest.raises(InvalidVector):
+            normalize(bad)
+        with pytest.raises(InvalidVector):
+            normalize(bad, bidirectional=True)
+
+
+def test_normalize_returns_a_primitive_row_itself():
+    row = (3, -4, 5)
+    assert normalize(row) is row
+    assert normalize([6, -8, 10]) == row
+
+
+def test_scalar_prod_rejects_unequal_lengths():
+    with pytest.raises(DimensionError):
+        scalar_prod((1, 2), (1, 2, 3))
 
 
 def test_check_vector_rejects_bad_rows():
@@ -102,3 +122,41 @@ def test_combine_saturates_the_cutting_row(c, gp, gm):
     out = combine_with_products(tuple(gp), tuple(gm), sp, sm)
     assert scalar_prod(c, out) == 0
     assert any(out)
+
+
+def gcd_loop_normalize(vec, bidirectional=False):
+    """Reference: a gcd folded over the entries, then the sign rule."""
+    g = 0
+    for x in vec:
+        g = gcd(g, x)
+    out = tuple(x // g for x in vec)
+    lead = next(x for x in out if x)
+    if bidirectional and lead < 0:
+        out = tuple(-x for x in out)
+    return out
+
+
+big = st.integers(-(2**80), 2**80)
+# small entries make zeros and shared factors common
+entry = st.one_of(big, st.integers(-3, 3))
+
+
+@given(
+    st.lists(entry, min_size=2, max_size=7).filter(any),
+    st.integers(1, 2**40),
+    st.booleans(),
+)
+def test_normalize_matches_gcd_loop(vec, factor, bidirectional):
+    for row in (tuple(vec), tuple(factor * x for x in vec)):
+        assert normalize(row, bidirectional) == gcd_loop_normalize(row, bidirectional)
+
+
+@given(st.integers(0, 7).flatmap(lambda n: st.tuples(
+    st.lists(entry, min_size=n, max_size=n), st.lists(entry, min_size=n, max_size=n)
+)))
+def test_scalar_prod_matches_explicit_sum(pair):
+    c, g = pair
+    total = 0
+    for i in range(len(c)):
+        total += c[i] * g[i]
+    assert scalar_prod(tuple(c), tuple(g)) == total

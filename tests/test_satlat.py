@@ -94,6 +94,7 @@ def test_mask_closure_matches_row_scan(seed):
     live: set[int] = set()
     next_id = 0
     stale_seen = 0
+    early_seen = 0
     for _ in range(300):
         op = rng.choices(["new", "drop", "col", "copy", "clear"], [6, 3, 3, 1, 0.2])[0]
         if op == "new":
@@ -129,7 +130,21 @@ def test_mask_closure_matches_row_scan(seed):
         for m in members:
             common &= sat.bits[m]
         want = {e for e in cands if sat.bits[e] & common == common}
+        before = sat.counters.sat_ops
         assert mask_ids(supp_cl(sat, members, id_mask(cands))) == want
+        charged = len(members) + common.bit_count()
+        assert sat.counters.sat_ops == before + charged
+        if common.bit_count() > 1:
+            # candidates that all miss the lowest shared column: the walk
+            # empties at once, yet every shared column is still charged
+            low = (common & -common).bit_length() - 1
+            missing = {e for e in live if not sat.bits[e] >> low & 1}
+            if missing:
+                early_seen += 1
+                before = sat.counters.sat_ops
+                got = mask_ids(supp_cl(sat, members, id_mask(missing)))
+                assert got == {e for e in missing if sat.bits[e] & common == common}
+                assert sat.counters.sat_ops == before + charged
         # adjacency against its definition: no third witness saturates
         # every column the pair shares
         if len(live) > 1:
@@ -139,6 +154,7 @@ def test_mask_closure_matches_row_scan(seed):
             assert adjacent(sat, a, b, id_mask(cands)) is not blocked
     # dropped ids linger in the columns; the live-id mask hides them
     assert stale_seen
+    assert early_seen
 
 
 def test_clone_leaves_parent_columns_alone():

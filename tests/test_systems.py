@@ -36,6 +36,24 @@ def test_generator_slot0_rules():
 def test_all_zero_rows_rejected():
     with pytest.raises(InvalidVector):
         Constraint((0, 0), ConKind.NONSTRICT)
+    for kind in ConKind:
+        with pytest.raises(InvalidVector):
+            Constraint((0, 0, 0), kind)
+    for kind in (GenKind.LINE, GenKind.RAY):
+        with pytest.raises(InvalidVector):
+            Generator((0, 0, 0), kind)
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, Fraction(1, 2), Fraction(2, 1)])
+def test_non_integer_entries_rejected_at_the_boundary(bad):
+    # normalize() does not check entry types: building the atom does
+    for kind in ConKind:
+        with pytest.raises(InvalidVector):
+            Constraint((1, bad, 2), kind)
+    for kind in GenKind:
+        row = (0, bad, 2) if kind in (GenKind.LINE, GenKind.RAY) else (1, bad, 2)
+        with pytest.raises(InvalidVector):
+            Generator(row, kind)
 
 
 def test_dim_property_and_check_same_dim():
