@@ -15,6 +15,7 @@ from .counting import OpCounters
 from .errors import InvariantError, NncPolyError, ParseError
 from .formats import emit_ext, emit_ine, parse_ext, parse_ine
 from .polyhedron import NncPolyhedron
+from .systems import Constraint, Generator
 
 
 def _sniff(text: str) -> str:
@@ -27,17 +28,17 @@ def _sniff(text: str) -> str:
     raise ParseError("no H-representation or V-representation header found")
 
 
-def _load(path: str) -> tuple[NncPolyhedron, str, int, int]:
-    """Returns (polyhedron, kind, dim, rows_in) for an input file."""
+def _load(path: str) -> tuple[NncPolyhedron, str, int, list[Constraint] | list[Generator]]:
+    """Returns (polyhedron, kind, dim, parsed rows) for an input file."""
     text = Path(path).read_text()
     kind = _sniff(text)
     if kind == "H":
         cons, dim = parse_ine(text)
-        return NncPolyhedron.from_constraints(cons, dim=dim), kind, dim, len(cons)
+        return NncPolyhedron.from_constraints(cons, dim=dim), kind, dim, cons
     gens, dim = parse_ext(text)
     if not gens:
-        return NncPolyhedron.empty(dim), kind, dim, 0
-    return NncPolyhedron.from_generators(gens), kind, dim, len(gens)
+        return NncPolyhedron.empty(dim), kind, dim, gens
+    return NncPolyhedron.from_generators(gens), kind, dim, gens
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
@@ -63,7 +64,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         record = {
             "direction": direction,
             "dim": dim,
-            "rows_in": rows_in,
+            "rows_in": len(rows_in),
             "rows_out": len(rows),
             "supports_out": len(ctx.ns) if ctx is not None else 0,
             **asdict(counters),
@@ -85,9 +86,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(f"roundtrip: {'PASS' if good else 'FAIL'}")
     if args.oracle == "eps":
         if kind == "H":
-            cons, _ = parse_ine(Path(args.input).read_text())
-            if cons:
-                gens, _cone = eps.eps_c2g(cons)
+            if rows_in:
+                gens, _cone = eps.eps_c2g(rows_in)
                 other = (
                     NncPolyhedron.from_generators(gens)
                     if gens
@@ -96,9 +96,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
             else:
                 other = NncPolyhedron.universe(dim)
         else:
-            gens, _ = parse_ext(Path(args.input).read_text())
-            if gens:
-                cons, _cone = eps.eps_g2c(gens)
+            if rows_in:
+                cons, _cone = eps.eps_g2c(rows_in)
                 other = NncPolyhedron.from_constraints(cons, dim=dim)
             else:
                 other = NncPolyhedron.empty(dim)

@@ -14,8 +14,9 @@ keeps (``violating_singular``); the ordinary step then runs with the half
 alone on the positive side, so each role's effect is coded once.
 
 Strictness that no single skeleton element can express lives next to the
-skeleton as supports: sets of element ids whose face's relative interior is
-included (generator side) or excluded (constraint side).  The constraint
+skeleton as supports: sets of element ids, held as int id masks like every
+set of elements a step handles, whose face's relative interior is included
+(generator side) or excluded (constraint side).  The constraint
 side starts with the positivity row as a HARD element; over the run it
 either survives as a real strict row or dissolves into the support that
 cuts the empty face, which keeps closure points and strict rows honest.
@@ -34,9 +35,9 @@ from .satlat import (
     Region,
     SatMatrix,
     adjacent,
+    bit_indices,
     classify_ns,
     id_mask,
-    mask_ids,
     nonredundant_union,
     proj,
     supp_cl,
@@ -77,14 +78,17 @@ class Elem:
 
 @dataclass
 class _Split:
+    """One step's view of the elements.  The parts are id masks of the
+    non-singular elements by the sign of their scalar product."""
+
     sps: dict[int, int]
-    pos: set[int]
-    zero: set[int]
-    neg: set[int]
+    pos: int
+    zero: int
+    neg: int
     violated: int | None = None
-    adjacent_pairs: set[tuple[int, int]] = field(default_factory=set)
-    cands: int = 0  # id mask of the non-singular elements after combining
-    keep: int = 0  # id mask of the elements on the kept side of the row
+    adj: dict[int, int] = field(default_factory=dict)  # negative id -> adjacent positives
+    cands: int = 0  # every part after combining: the non-singular elements
+    keep: int = 0  # the elements on the kept side of the row
 
 
 @dataclass
@@ -93,7 +97,7 @@ class ConvCtx:
     producing: Side
     elems: dict[int, Elem] = field(default_factory=dict)
     sat: SatMatrix = field(default_factory=SatMatrix)
-    ns: set[frozenset[int]] = field(default_factory=set)
+    ns: set[int] = field(default_factory=set)  # supports, as id masks
     counters: OpCounters = field(default_factory=OpCounters)
     empty: bool = False
     next_id: int = 0
@@ -114,11 +118,14 @@ class ConvCtx:
         del self.elems[eid]
         self.sat.drop_row(eid)
 
-    def nonsingular_ids(self) -> list[int]:
-        return [i for i, e in self.elems.items() if e.role is not Role.SINGULAR]
-
-    def hard_ids(self) -> set[int]:
-        return {i for i, e in self.elems.items() if e.role is Role.HARD}
+    def role_mask(self, role: Role, within: int) -> int:
+        """Id mask of the elements in ``within`` that have the role."""
+        elems = self.elems
+        out = 0
+        for eid in bit_indices(within):
+            if elems[eid].role is role:
+                out |= 1 << eid
+        return out
 
     def row_of(self, eid: int) -> Row:
         try:
@@ -166,7 +173,7 @@ class ConvCtx:
                 i for i, e in ctx.elems.items() if e.role is Role.SINGULAR
             }
             ctx.sat.add_col(sats)
-        ctx.ns = {frozenset(s) for s in ns}
+        ctx.ns = {id_mask(s) for s in ns}
         return ctx
 
 
@@ -185,21 +192,23 @@ def partition_elems(ctx: ConvCtx, row: Row) -> _Split:
     """Sign every element against the row.  Singular elements join no part;
     the lowest-id one the row does not saturate is recorded as violated
     (dict order is id order, since ids only grow)."""
-    split = _Split({}, set(), set(), set())
+    sps: dict[int, int] = {}
+    pos = zero = neg = 0
+    violated = None
     for eid, e in ctx.elems.items():
         s = scalar_prod(row, e.row)
         ctx.counters.vec_ops += 1
-        split.sps[eid] = s
+        sps[eid] = s
         if e.role is Role.SINGULAR:
-            if s and split.violated is None:
-                split.violated = eid
+            if s and violated is None:
+                violated = eid
         elif s > 0:
-            split.pos.add(eid)
+            pos |= 1 << eid
         elif s < 0:
-            split.neg.add(eid)
+            neg |= 1 << eid
         else:
-            split.zero.add(eid)
-    return split
+            zero |= 1 << eid
+    return _Split(sps, pos, zero, neg, violated)
 
 
 def combine_adjacent(ctx: ConvCtx, role: Role, split: _Split) -> list[int]:
@@ -207,82 +216,69 @@ def combine_adjacent(ctx: ConvCtx, role: Role, split: _Split) -> list[int]:
 
     New elements join the zero part with an eagerly computed saturation row
     (the AND of the parents; the new column is appended by the caller).  The
-    adjacent pairs are recorded on the split for ``create_ns``.
+    adjacent positives of each negative element are recorded on the split
+    for ``create_ns``.
     """
-    witnesses = id_mask(split.pos | split.zero | split.neg)
+    witnesses = split.pos | split.zero | split.neg
+    adj = split.adj
     new_ids: list[int] = []
-    negs = sorted(split.neg)
-    for p in sorted(split.pos):
+    negs = list(bit_indices(split.neg))
+    for p in bit_indices(split.pos):
         for m in negs:
             if not adjacent(ctx.sat, p, m, witnesses):
                 continue
-            split.adjacent_pairs.add((p, m))
+            adj[m] = adj.get(m, 0) | 1 << p
             combined = combine_with_products(
                 ctx.elems[p].row, ctx.elems[m].row, split.sps[p], split.sps[m]
             )
             ctx.counters.vec_ops += 1
             satrow = ctx.sat.and_rows((p, m))
             eid = ctx.add_elem(combined, _combine_role(role, ctx.elems[p].role, ctx.elems[m].role), satrow)
-            split.zero.add(eid)
+            split.zero |= 1 << eid
             split.sps[eid] = 0
             new_ids.append(eid)
     return new_ids
 
 
-def _classify_all(ctx: ConvCtx, split: _Split) -> dict[frozenset[int], Region]:
+def _classify_all(ctx: ConvCtx, split: _Split) -> dict[int, Region]:
     return {ns: classify_ns(ns, split.pos, split.zero, split.neg) for ns in ctx.ns}
 
 
-def _close_and_keep(
-    ctx: ConvCtx, split: _Split, supports: Iterable[frozenset[int]]
-) -> set[frozenset[int]]:
-    """Close each support over the non-singular elements and keep the part
-    on the kept side of the new row; empty results vanish."""
-    cands, keep = split.cands, split.keep
-    out = {supp_cl(ctx.sat, ns, cands) & keep for ns in supports}
+def _close_and_keep(ctx: ConvCtx, split: _Split, supports: Iterable[Iterable[int]]) -> set[int]:
+    """Close each support, given by its member ids, over the non-singular
+    elements and keep the part on the kept side of the new row; empty
+    results vanish."""
+    sat, cands, keep = ctx.sat, split.cands, split.keep
+    out = {supp_cl(sat, members, cands) & keep for members in supports}
     out.discard(0)
-    return {mask_ids(m) for m in out}
+    return out
 
 
-def move_ns(
-    ctx: ConvCtx, split: _Split, regions: dict[frozenset[int], Region]
-) -> set[frozenset[int]]:
+def move_ns(ctx: ConvCtx, split: _Split, regions: dict[int, Region]) -> set[int]:
     """Reattach supports that straddle the new row to the kept side."""
-    mixed = [ns for ns, region in regions.items() if region is Region.MIX]
+    mixed = [bit_indices(ns) for ns, region in regions.items() if region is Region.MIX]
     return _close_and_keep(ctx, split, mixed) if mixed else set()
 
 
-def enumerate_faces(
-    ctx: ConvCtx,
-    seeds: Sequence[frozenset[int]],
-    extensions: Iterable[int],
-    split: _Split,
-) -> set[frozenset[int]]:
+def enumerate_faces(ctx: ConvCtx, seeds: Sequence[int], extensions: int, split: _Split) -> set[int]:
     """Supports of faces reached by stretching each seed with one soft
-    element from the far side of the new row."""
-    exts = sorted(extensions)
-    if not exts or not seeds:
+    element (a bit of the ``extensions`` mask) from the far side of the new
+    row."""
+    if not extensions or not seeds:
         return set()
-    stretched = (seed | {s} for seed in seeds for s in exts if s not in seed)
-    return _close_and_keep(ctx, split, stretched)
+    # each closure gets its member ids as a short list: the row AND walks
+    # that faster than the bits of a mask as wide as every id ever issued
+    exts = list(bit_indices(extensions))
+    members = [list(bit_indices(seed)) for seed in seeds]
+    return _close_and_keep(ctx, split, (ids + [s] for ids in members for s in exts if s not in ids))
 
 
-def _with_role(ctx: ConvCtx, ids: Iterable[int], role: Role) -> list[int]:
-    return [i for i in sorted(ids) if ctx.elems[i].role is role]
-
-
-def _seeds(
-    hard: list[int], regions: dict[frozenset[int], Region], region: Region
-) -> list[frozenset[int]]:
+def _seeds(hard: int, regions: dict[int, Region], region: Region) -> list[int]:
     """Each hard element alone, then the supports lying in the region."""
-    return [frozenset({i}) for i in hard] + sorted(
-        (ns for ns, r in regions.items() if r is region), key=sorted
-    )
+    return [1 << i for i in bit_indices(hard)] + [ns for ns, r in regions.items() if r is region]
 
 
-def create_ns(
-    ctx: ConvCtx, split: _Split, role: Role, regions: dict[frozenset[int], Region]
-) -> set[frozenset[int]]:
+def create_ns(ctx: ConvCtx, split: _Split, role: Role, regions: dict[int, Region]) -> set[int]:
     """Fresh supports for faces that cross the new row.
 
     Crossing faces are found from point-like elements and existing supports
@@ -292,13 +288,13 @@ def create_ns(
     strict row it is not adjacent to.  (A strict row's boundary faces are
     ``strict_on_eq_points``'s.)
     """
-    hard_neg = _with_role(ctx, split.neg, Role.HARD)
-    soft_pos = _with_role(ctx, split.pos, Role.SOFT)
+    hard_neg = ctx.role_mask(Role.HARD, split.neg)
+    soft_pos = ctx.role_mask(Role.SOFT, split.pos)
     out = enumerate_faces(ctx, _seeds(hard_neg, regions, Region.NEG), soft_pos, split)
     if role is Role.HARD:
         return out
-    hard_pos = _with_role(ctx, split.pos, Role.HARD)
-    soft_neg = _with_role(ctx, split.neg, Role.SOFT)
+    hard_pos = ctx.role_mask(Role.HARD, split.pos)
+    soft_neg = ctx.role_mask(Role.SOFT, split.neg)
     out |= enumerate_faces(ctx, _seeds(hard_pos, regions, Region.POS), soft_neg, split)
     if ctx.producing is Side.CON:
         # Two strict rows on opposite sides that are not adjacent meet in a
@@ -307,10 +303,10 @@ def create_ns(
         # combination already excludes that face.  Nor does an added point:
         # the kept strict row stays hard and in every such support, so
         # nonredundant_union would drop them all.
-        for m in hard_neg:
-            far = [p for p in hard_pos if (p, m) not in split.adjacent_pairs]
+        for m in bit_indices(hard_neg):
+            far = hard_pos & ~split.adj.get(m, 0)
             if far:
-                out |= enumerate_faces(ctx, [frozenset({m})], far, split)
+                out |= enumerate_faces(ctx, [1 << m], far, split)
     return out
 
 
@@ -320,11 +316,8 @@ def promote_singletons(ctx: ConvCtx) -> None:
 
     The family must be an antichain, as every step leaves it: then no other
     support contains a promoted element, and none needs dropping."""
-    for ns in sorted(ctx.ns, key=sorted):
-        if len(ns) != 1:
-            continue
-        (m,) = ns
-        e = ctx.elems.get(m)
+    for ns in [ns for ns in ctx.ns if not ns & (ns - 1)]:
+        e = ctx.elems.get(ns.bit_length() - 1)
         if e is None or e.role is not Role.SOFT:
             continue
         if ctx.producing is Side.GEN and e.row[0] == 0:
@@ -349,7 +342,8 @@ def violating_singular(ctx: ConvCtx, split: _Split, vid: int) -> None:
     ctx.elems[vid].row = half
     ctx.elems[vid].role = Role.SOFT
     split.sps[vid] = sl
-    split.pos.add(vid)
+    split.zero |= split.pos | split.neg
+    split.pos, split.neg = 1 << vid, 0
 
     for eid, e in ctx.elems.items():
         if eid == vid:
@@ -363,24 +357,18 @@ def violating_singular(ctx: ConvCtx, split: _Split, vid: int) -> None:
             e.row = normalize(tuple(sl * a - se * b for a, b in zip(e.row, half)))
         ctx.counters.vec_ops += 1
         split.sps[eid] = 0
-        for part in (split.pos, split.neg):
-            part.discard(eid)
-        if e.role is not Role.SINGULAR:
-            split.zero.add(eid)
 
 
-def strict_on_eq_points(
-    ctx: ConvCtx, split: _Split, regions: dict[frozenset[int], Region]
-) -> set[frozenset[int]]:
+def strict_on_eq_points(ctx: ConvCtx, split: _Split, regions: dict[int, Region]) -> set[int]:
     """A strict row saturates part of the skeleton: the saturated hard
     elements soften, and each face they or the saturated supports span with
     one soft positive element comes back as a fresh support.  The only
     place where a strict row softens what it saturates."""
-    hard_zero = _with_role(ctx, split.zero, Role.HARD)
+    hard_zero = ctx.role_mask(Role.HARD, split.zero)
     seeds = _seeds(hard_zero, regions, Region.ZERO)
-    for i in hard_zero:
+    for i in bit_indices(hard_zero):
         ctx.elems[i].role = Role.SOFT
-    soft_pos = _with_role(ctx, split.pos, Role.SOFT)
+    soft_pos = ctx.role_mask(Role.SOFT, split.pos)
     return enumerate_faces(ctx, seeds, soft_pos, split)
 
 
@@ -396,8 +384,8 @@ def _regular(ctx: ConvCtx, role: Role, split: _Split) -> None:
     regions = _classify_all(ctx, split)
     combine_adjacent(ctx, role, split)
     # Fixed for the rest of the step: later phases only soften hard elements.
-    split.cands = id_mask(ctx.nonsingular_ids())
-    split.keep = proj(split.cands, role is Role.HARD, id_mask(split.zero), id_mask(split.neg))
+    split.cands = split.pos | split.zero | split.neg
+    split.keep = proj(split.cands, role is Role.HARD, split.zero, split.neg)
     moved = move_ns(ctx, split, regions)
     created = create_ns(ctx, split, role, regions)
 
@@ -405,23 +393,24 @@ def _regular(ctx: ConvCtx, role: Role, split: _Split) -> None:
         doomed = split.pos | split.neg
         kept = {ns for ns, r in regions.items() if r is Region.ZERO}
     elif role is Role.SOFT:
-        doomed = set(split.neg)
+        doomed = split.neg
         kept = {ns for ns, r in regions.items() if r in (Region.POS, Region.ZERO)}
     else:
-        doomed = set(split.neg)
+        doomed = split.neg
         created |= strict_on_eq_points(ctx, split, regions)
         kept = {ns for ns, r in regions.items() if r is Region.POS}
 
-    for eid in doomed:
+    for eid in bit_indices(doomed):
         ctx.drop_elem(eid)
+    left = split.cands & ~doomed  # every live non-singular element
     if moved or created:
-        ctx.ns = nonredundant_union(kept, moved, created, hard=ctx.hard_ids())
+        ctx.ns = nonredundant_union(kept, moved, created, hard=ctx.role_mask(Role.HARD, left))
     else:
         # kept is part of the incoming family, which is already minimal and
         # free of hard elements, and no existing element turned hard
         ctx.ns = kept
 
-    if not any(e.role is not Role.SINGULAR for e in ctx.elems.values()):
+    if not left:
         if ctx.producing is Side.CON:
             raise InvariantError("constraint skeleton lost every inequality row")
         ctx.set_empty()
@@ -546,9 +535,14 @@ def _tautology(row: Row) -> bool:
     return row[0] > 0 and all(a == 0 for a in row[1:])
 
 
-def materialize_support(ctx: ConvCtx, ns: frozenset[int]) -> Row:
+def _ordered(ns: set[int]) -> list[int]:
+    """Supports in the order of their sorted id lists."""
+    return sorted(ns, key=lambda m: list(bit_indices(m)))
+
+
+def materialize_support(ctx: ConvCtx, ns: int) -> Row:
     total = [0] * (ctx.dim + 1)
-    for eid in sorted(ns):
+    for eid in bit_indices(ns):
         for j, a in enumerate(ctx.row_of(eid)):
             total[j] += a
     return normalize(tuple(total))
@@ -576,10 +570,10 @@ def emit_generators(ctx: ConvCtx) -> list[Generator]:
             rays.append(e.row)
         else:
             cps.append(e.row)
-    for ns in sorted(ctx.ns, key=sorted):
+    for ns in _ordered(ctx.ns):
         filler = materialize_support(ctx, ns)
         if filler[0] <= 0:
-            raise InvariantError(f"support {sorted(ns)} has no position row")
+            raise InvariantError(f"support {list(bit_indices(ns))} has no position row")
         pts.append(filler)
     if not pts:
         return []
@@ -616,7 +610,7 @@ def emit_constraints(ctx: ConvCtx) -> list[Constraint]:
             push(e.row, ConKind.NONSTRICT)
         else:
             push(e.row, ConKind.STRICT)
-    for ns in sorted(ctx.ns, key=sorted):
+    for ns in _ordered(ctx.ns):
         push(materialize_support(ctx, ns), ConKind.STRICT)
     return out
 
@@ -625,6 +619,6 @@ def atoms(ctx: ConvCtx) -> list[tuple[Row, ...]]:
     """Every hard element alone plus every support's member rows.  On the
     generator side each names a piece whose relative interior the set
     includes; on the constraint side, a face the set omits."""
-    out = [(ctx.elems[i].row,) for i in sorted(ctx.hard_ids())]
-    out += [tuple(ctx.row_of(i) for i in sorted(ns)) for ns in sorted(ctx.ns, key=sorted)]
+    out = [(e.row,) for _, e in sorted(ctx.elems.items()) if e.role is Role.HARD]
+    out += [tuple(ctx.row_of(i) for i in bit_indices(ns)) for ns in _ordered(ctx.ns)]
     return out

@@ -2,20 +2,22 @@
 
 Every conversion element carries a saturation row: one bit per opposite-side
 row seen so far, set when the scalar product was zero.  Supports of
-non-skeleton strictness marks are sets of element ids, stored as frozensets
-and closed and projected as int id masks; the helpers here close, project,
-classify and minimize them.  One closure routine, ``supp_cl``, serves both
-faces and combinatorial adjacency.
+non-skeleton strictness marks are sets of element ids, stored as int id
+masks (bit e set for element e); the helpers here close, project, classify
+and minimize them.  One closure routine, ``supp_cl``, serves both faces and
+combinatorial adjacency.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TypeVar
 
 from .counting import OpCounters
 from .errors import EmptySupportError
+
+Support = TypeVar("Support", int, frozenset)
 
 
 @dataclass
@@ -67,6 +69,8 @@ class SatMatrix:
         return SatMatrix(counters, self.ncols, dict(self.bits), list(self.cols))
 
     def and_rows(self, eids: Iterable[int]) -> int:
+        """The AND of the rows; no row has a bit at ``ncols`` or above, so
+        neither has the result."""
         mask = -1
         n = 0
         for eid in eids:
@@ -75,7 +79,7 @@ class SatMatrix:
         if n == 0:
             raise EmptySupportError("no rows to intersect")
         self.counters.sat_ops += n
-        return mask & ((1 << self.ncols) - 1) if self.ncols else 0
+        return mask
 
 
 def bit_indices(mask: int) -> Iterator[int]:
@@ -126,9 +130,8 @@ class Region(Enum):
     MIX = "+-"
 
 
-def classify_ns(
-    ns: frozenset[int], pos: set[int], zero: set[int], neg: set[int]
-) -> Region:
+def classify_ns(ns: int, pos: int, zero: int, neg: int) -> Region:
+    """Where a support (an id mask) lies against the parts of a step."""
     hits_pos = bool(ns & pos)
     hits_neg = bool(ns & neg)
     if hits_pos and hits_neg:
@@ -137,9 +140,9 @@ def classify_ns(
         return Region.POS
     if hits_neg:
         return Region.NEG
-    if ns <= zero:
+    if not ns & ~zero:
         return Region.ZERO
-    raise EmptySupportError(f"support {sorted(ns)} outside the current partition")
+    raise EmptySupportError(f"support {list(bit_indices(ns))} outside the current partition")
 
 
 def proj(ns: int, strict: bool, zero: int, neg: int) -> int:
@@ -148,16 +151,16 @@ def proj(ns: int, strict: bool, zero: int, neg: int) -> int:
     return ns & ~neg if strict else ns & zero
 
 
-def nonredundant_union(
-    *families: Iterable[frozenset[int]], hard: set[int]
-) -> set[frozenset[int]]:
-    """Union of support families, dropping supports that touch a hard
-    (point-like / strict-like) element and supports that include another
-    support."""
-    return minimal_family(ns for fam in families for ns in fam if ns and not (ns & hard))
+def nonredundant_union(*families: Iterable[int], hard: int) -> set[int]:
+    """Union of support families (id masks), dropping supports that touch a
+    hard (point-like / strict-like) element and supports that include
+    another support."""
+    return minimal_family(ns for fam in families for ns in fam if ns and not ns & hard)
 
 
-def minimal_family(family: Iterable[frozenset[int]]) -> set[frozenset[int]]:
-    """The members of a support family that include no other member."""
+def minimal_family(family: Iterable[Support]) -> set[Support]:
+    """The members of a support family that include no other member.  A
+    support is a frozenset of ids or an int id mask: both spell inclusion
+    as ``o & ns == o``."""
     fam = set(family)
-    return {ns for ns in fam if not any(other < ns for other in fam)}
+    return {ns for ns in fam if not any(o & ns == o and o != ns for o in fam)}

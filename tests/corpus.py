@@ -6,7 +6,8 @@ numbers are reproducible run to run.  Three corpora are produced:
 * mixed constraint systems with strict rows and equalities,
 * the closed subset of the same shape (no strict rows),
 * desk-scale skeletons with their facet systems, for the support-family
-  order checks.
+  order checks,
+* wider systems past the acceptance bounds, for differential checks.
 
 It also holds fixed generator systems that once exposed engine faults.
 """
@@ -22,6 +23,7 @@ COEFF_RANGE = 5
 NNC_SEED = 20240811
 CLOSED_SEED = 20240812
 SKELETON_SEED = 20240813
+WIDE_SEED = 20240814
 
 
 def _coeffs(rng: random.Random, dim: int) -> list[int]:
@@ -79,6 +81,27 @@ def nnc_corpus(count: int = 200, seed: int = NNC_SEED) -> list[tuple[int, list[C
 def closed_corpus(count: int = 100, seed: int = CLOSED_SEED) -> list[tuple[int, list[Constraint]]]:
     """Same shape as nnc_corpus but without strict rows."""
     return _constraint_systems(count, seed, allow_strict=False, max_dim=4, max_rows=10)
+
+
+def wide_corpus(count: int = 20, seed: int = WIDE_SEED) -> list[tuple[int, list[Constraint]]]:
+    """Past the acceptance bounds: dim 5-6, 12-16 rows, coefficients in
+    [-9, 9].  Each row is strict with p = 0.3 (constant in [1, 9]), else
+    nonstrict (constant in [0, 9]), so the origin is always inside."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        dim = rng.randint(5, 6)
+        rows = []
+        for _ in range(rng.randint(12, 16)):
+            strict = rng.random() < 0.3
+            c0 = rng.randint(1, 9) if strict else rng.randint(0, 9)
+            a = [0]
+            while not any(a):
+                a = [rng.randint(-9, 9) for _ in range(dim)]
+            kind = ConKind.STRICT if strict else ConKind.NONSTRICT
+            rows.append(Constraint(tuple([c0] + a), kind))
+        out.append((dim, rows))
+    return out
 
 
 def _random_skeleton_item(

@@ -31,7 +31,7 @@ from nncpoly.conversion import (
 from nncpoly.eps import closed_c2g, closed_generators, eps_c2g
 from nncpoly.polyhedron import NncPolyhedron
 from nncpoly.oracle import alpha, face_supports, gamma_contains
-from nncpoly.satlat import minimal_family
+from nncpoly.satlat import id_mask, mask_ids, minimal_family
 from nncpoly.systems import ConKind, Constraint, GenKind, Generator
 
 
@@ -79,6 +79,9 @@ def test_criterion_1_worked_examples():
 
     fs = frozenset
 
+    def supports(ctx):
+        return {mask_ids(ns) for ns in ctx.ns}
+
     # (a) support family of the square with one open corner: closure-point
     # vertices c0=(0,0), c1=(2,0), c2=(2,2) and skeleton point p0=(0,2)
     skel = [
@@ -108,20 +111,20 @@ def test_criterion_1_worked_examples():
     # (b) a support crossing a strict cut moves onto the cut plane
     ctx = _square_ctx([{0, 3}])
     process_row(ctx, (1, 0, -1), Role.HARD)
-    check("move across strict cut", ctx.ns, {fs({0, 4})})
+    check("move across strict cut", supports(ctx), {fs({0, 4})})
     check("moved combination", ctx.elems[4].row, (1, 0, 1))
 
     # (c) the same cut made nonstrict leaves a singleton that promotes
     ctx = _square_ctx([{0, 3}])
     process_row(ctx, (1, 0, -1), Role.SOFT)
-    check("promotion emptied the family", ctx.ns, set())
+    check("promotion emptied the family", supports(ctx), set())
     check("promoted element role", ctx.elems[4].role, Role.HARD)
 
     # (d) a support entirely beyond a strict cut is recreated from the
     # surviving side
     ctx = _square_ctx([{2, 3}])
     process_row(ctx, (1, 0, -1), Role.HARD)
-    check("create across strict cut", ctx.ns, {fs({0, 1, 4, 5})})
+    check("create across strict cut", supports(ctx), {fs({0, 1, 4, 5})})
 
     # (e) a doomed closure point's face is recorded as a support seeded by a
     # skeleton point: diamond c0=(0,1), c1=(1,2), c2=(2,1), p=(1,0), cut y<=1
@@ -138,7 +141,7 @@ def test_criterion_1_worked_examples():
         ns=[],
     )
     process_row(ctx, (1, 0, -1), Role.SOFT)
-    check("create across nonstrict cut", ctx.ns, {fs({0, 2})})
+    check("create across nonstrict cut", supports(ctx), {fs({0, 2})})
     check("surviving elements", set(ctx.elems), {0, 2, 3})
 
     _verdict("1 worked-examples", 1.0, start, failures)
@@ -283,8 +286,8 @@ def test_criterion_7_incrementality():
 
 def _support_discipline(ctx: ConvCtx, where: str, failures: list[str]) -> None:
     live = set(ctx.elems)
-    hard = ctx.hard_ids()
-    supports = list(ctx.ns)
+    hard = mask_ids(ctx.role_mask(Role.HARD, id_mask(ctx.elems)))
+    supports = [mask_ids(ns) for ns in ctx.ns]
     for ns in supports:
         if len(ns) < 2:
             failures.append(f"{where}: singleton support {sorted(ns)}")
@@ -316,7 +319,7 @@ def test_criterion_8_non_redundancy():
             for eid in list(ctx.elems):
                 cut = ctx.clone()
                 cut.drop_elem(eid)
-                cut.ns = {s for s in cut.ns if eid not in s}
+                cut.ns = {s for s in cut.ns if not s >> eid & 1}
                 mutilated = _poly_from_gen_ctx(cut, dim)
                 if mutilated.equals(poly):
                     failures.append(f"mixed {idx}: element {eid} is redundant")

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from nncpoly import conversion
+from nncpoly import cli, conversion
 from nncpoly.cli import main
 from nncpoly.errors import EmptySupportError, InvariantError, StaleIdError
 
@@ -19,6 +19,7 @@ begin
  2 0 -1
 end
 """
+SEG_EXT = "V-representation\nclosure 1 2\nbegin\n 2 2 integer\n 1 1\n 1 3\nend\n"
 
 
 def write(tmp_path, name, text):
@@ -84,10 +85,21 @@ def test_check_defaults_to_roundtrip(tmp_path, capsys):
 
 
 def test_check_v_side_with_oracle(tmp_path, capsys):
-    ext = "V-representation\nclosure 1 2\nbegin\n 2 2 integer\n 1 1\n 1 3\nend\n"
-    src = write(tmp_path, "seg.ext", ext)
+    src = write(tmp_path, "seg.ext", SEG_EXT)
     assert main(["check", src, "--oracle", "eps"]) == 0
     assert "oracle(eps): PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name, text", [("box.ine", BOX_INE), ("seg.ext", SEG_EXT)], ids=["H", "V"])
+def test_check_parses_its_input_once(tmp_path, monkeypatch, capsys, name, text):
+    parsed = []
+    for parser in ("parse_ine", "parse_ext"):
+        real = getattr(cli, parser)
+        monkeypatch.setattr(cli, parser, lambda t, real=real: parsed.append(t) or real(t))
+    src = write(tmp_path, name, text)
+    assert main(["check", src, "--roundtrip", "--oracle", "eps"]) == 0
+    assert "oracle(eps): PASS" in capsys.readouterr().out
+    assert parsed == [text]
 
 
 def test_parse_failure_exits_2(tmp_path, capsys):

@@ -8,7 +8,7 @@ hand-derived outcome.
 
 import pytest
 
-from corpus import CUT_VERTEX_GENS, nnc_corpus
+from corpus import CUT_VERTEX_GENS, nnc_corpus, wide_corpus
 from nncpoly import conversion, eps
 from nncpoly.conversion import (
     ConvCtx,
@@ -25,8 +25,14 @@ from nncpoly.conversion import (
     universe_gen_ctx,
 )
 from nncpoly.errors import DimensionError, EmptySystem, KindError
-from nncpoly.satlat import minimal_family
+from nncpoly.homvec import scalar_prod
+from nncpoly.satlat import bit_indices, id_mask, mask_ids, minimal_family
 from nncpoly.systems import ConKind, Constraint, GenKind, Generator
+
+
+def supports(ctx):
+    """The context's supports, read out of their id masks."""
+    return {mask_ids(ns) for ns in ctx.ns}
 
 
 def square_ctx(ns):
@@ -64,7 +70,7 @@ def test_move_support_across_nonstrict_cut():
 def test_move_support_across_strict_cut():
     ctx = square_ctx([{0, 3}])
     process_row(ctx, (1, 0, -1), Role.HARD)
-    assert ctx.ns == {frozenset({0, 4})}
+    assert supports(ctx) == {frozenset({0, 4})}
     assert ctx.elems[4].row == (1, 0, 1)
 
 
@@ -73,7 +79,7 @@ def test_create_support_from_doomed_side_nonstrict():
     # plane is the new combined pair
     ctx = square_ctx([{2, 3}])
     process_row(ctx, (1, 0, -1), Role.SOFT)
-    assert ctx.ns == {frozenset({4, 5})}
+    assert supports(ctx) == {frozenset({4, 5})}
     assert ctx.elems[4].row == (1, 0, 1)
     assert ctx.elems[5].row == (1, 2, 1)
 
@@ -81,7 +87,7 @@ def test_create_support_from_doomed_side_nonstrict():
 def test_create_support_from_doomed_side_strict():
     ctx = square_ctx([{2, 3}])
     process_row(ctx, (1, 0, -1), Role.HARD)
-    assert ctx.ns == {frozenset({0, 1, 4, 5})}
+    assert supports(ctx) == {frozenset({0, 1, 4, 5})}
 
 
 def test_create_support_seeded_by_skeleton_point():
@@ -103,7 +109,7 @@ def test_create_support_seeded_by_skeleton_point():
         ns=[],
     )
     process_row(ctx, (1, 0, -1), Role.SOFT)
-    assert ctx.ns == {frozenset({0, 2})}
+    assert supports(ctx) == {frozenset({0, 2})}
     assert {i: (e.row, e.role) for i, e in sorted(ctx.elems.items())} == {
         0: ((1, 0, 1), Role.SOFT),
         2: ((1, 2, 1), Role.SOFT),
@@ -126,7 +132,7 @@ def test_equality_cut_rebuilds_positive_side_supports():
         ns=[{0, 1}],
     )
     process_row(ctx, (0, 1, 0), Role.SINGULAR)
-    assert ctx.ns == {frozenset({3, 4})}
+    assert supports(ctx) == {frozenset({3, 4})}
     assert ctx.elems[3].row == (2, 0, 1)
     assert ctx.elems[4].row == (2, 0, 3)
 
@@ -137,7 +143,7 @@ def test_promote_singleton_folds_into_skeleton():
     ctx = square_ctx([{0}, {1, 2}])
     promote_singletons(ctx)
     assert ctx.elems[0].role is Role.HARD
-    assert ctx.ns == {frozenset({1, 2})}
+    assert supports(ctx) == {frozenset({1, 2})}
 
 
 def test_rays_never_promote_on_generator_side():
@@ -150,7 +156,7 @@ def test_rays_never_promote_on_generator_side():
     )
     promote_singletons(ctx)
     assert ctx.elems[1].role is Role.SOFT
-    assert ctx.ns == {frozenset({1})}
+    assert supports(ctx) == {frozenset({1})}
 
 
 # --- end to end ---------------------------------------------------------
@@ -264,9 +270,9 @@ def spy_hard_extensions(monkeypatch):
         return process_row(ctx, row, role)
 
     def spy(ctx, seeds, extensions, split):
-        exts = list(extensions)
-        seen.append((roles[-1], any(ctx.elems[e].role is Role.HARD for e in exts)))
-        return enumerate_faces(ctx, seeds, exts, split)
+        hard = any(ctx.elems[e].role is Role.HARD for e in bit_indices(extensions))
+        seen.append((roles[-1], hard))
+        return enumerate_faces(ctx, seeds, extensions, split)
 
     monkeypatch.setattr(conversion, "process_row", row_spy)
     monkeypatch.setattr(conversion, "enumerate_faces", spy)
@@ -420,15 +426,45 @@ def test_every_step_leaves_a_minimal_soft_family(monkeypatch):
         step(ctx, row, role)
         steps += 1
         assert ctx.ns == minimal_family(ctx.ns)
-        hard = ctx.hard_ids()
+        hard = ctx.role_mask(Role.HARD, id_mask(ctx.elems))
         assert not any(ns & hard for ns in ctx.ns)
 
     monkeypatch.setattr(conversion, "process_row", checked)
-    for dim, rows in nnc_corpus():
+    for dim, rows in nnc_corpus() + wide_corpus():
         gens = emit_generators(conversion_c2g(rows, dim=dim))
         if gens:
             conversion_g2c(gens)
     assert steps > 1000
+
+
+def gens_within(gens, cons):
+    """Is gen(gens) inside con(cons)?  Exact for any system with a point:
+    lines and equalities need zero products, points must clear strict rows,
+    and nothing may fall below a row."""
+    for c in cons:
+        for g in gens:
+            s = scalar_prod(c.row, g.row)
+            if c.kind is ConKind.EQUALITY or g.kind is GenKind.LINE:
+                if s != 0:
+                    return False
+            elif s < 0 or (s == 0 and c.kind is ConKind.STRICT and g.kind is GenKind.POINT):
+                return False
+    return True
+
+
+def test_wide_systems_match_the_eps_route():
+    # past the acceptance bounds (dim <= 4, <= 10 rows), both directions
+    # against the eps route; every inclusion is read off an explicit system,
+    # so the engine under test never judges its own output
+    for idx, (dim, rows) in enumerate(wide_corpus()):
+        gens = emit_generators(conversion_c2g(rows, dim=dim))
+        eps_gens, _ = eps.eps_c2g(rows)
+        eps_cons, _ = eps.eps_g2c(gens)  # con(eps_cons) = gen(gens)
+        assert gens_within(gens, rows), idx
+        assert gens_within(eps_gens, eps_cons), idx
+        cons = emit_constraints(conversion_g2c(gens))
+        assert gens_within(gens, cons), idx
+        assert gens_within(eps.eps_c2g(cons)[0], eps_cons), idx
 
 
 def test_wrong_side_feeding_raises():

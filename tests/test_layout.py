@@ -3,7 +3,8 @@
 The runtime core must not reach the exponential desk-scale oracles or the
 independent eps route, and no module may hide an import inside a function
 (such imports are how import cycles get papered over).  Every phase the
-benchmark tracer times must still exist under its name.
+benchmark tracer times must still exist under its name, and the engine
+keeps supports in one representation, int id masks.
 """
 
 import ast
@@ -55,6 +56,26 @@ def test_no_function_level_imports(path):
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             inner = [n for n in ast.walk(fn) if isinstance(n, (ast.Import, ast.ImportFrom))]
             assert not inner, f"{path.name}:{inner[0].lineno} imports inside {fn.name}()"
+
+
+@pytest.mark.parametrize("name", ["conversion", "satlat"])
+def test_engine_builds_frozensets_only_in_mask_ids(name):
+    # a second support representation in the engine means conversions on
+    # every step; mask_ids is the one way out, for tests and callers
+    tree = _tree(SRC / f"{name}.py")
+    allowed = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name == "mask_ids":
+            allowed = {id(n) for n in ast.walk(fn)}
+    calls = [
+        n.lineno
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Name)
+        and n.func.id == "frozenset"
+        and id(n) not in allowed
+    ]
+    assert not calls, f"{name}.py calls frozenset on lines {calls}"
 
 
 def test_traced_phases_exist():
