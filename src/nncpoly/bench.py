@@ -76,8 +76,9 @@ def _workload_eps(variants: Sequence[list[Constraint]]):
 
 def bench_dual_hypercube(dim: int) -> dict:
     """Two hulls and one intersection over four cross-polytope variants,
-    once per route.  Returns max intermediate sizes, operation totals and
-    each route's wall time in seconds (machine-dependent)."""
+    once per route.  Returns max intermediate sizes, operation totals (the
+    adjacency kernel's offered and adjacent pairs included) and each
+    route's wall time in seconds (machine-dependent)."""
     variants = [
         build_dual_hypercube(dim, offset, pattern)
         for offset in (1, 2)
@@ -98,12 +99,16 @@ def bench_dual_hypercube(dim: int) -> dict:
             "max_size": max(new_sizes, default=0),
             "vec_ops": sum(c.counters.vec_ops for c in direct),
             "sat_ops": sum(c.counters.sat_ops for c in direct),
+            "pairs_offered": sum(c.counters.pairs_offered for c in direct),
+            "pairs_adjacent": sum(c.counters.pairs_adjacent for c in direct),
             "wall_s": direct_s,
         },
         "eps": {
             "max_size": max(eps_sizes, default=0),
             "vec_ops": sum(c.counters.vec_ops for c in encoded),
             "sat_ops": sum(c.counters.sat_ops for c in encoded),
+            "pairs_offered": sum(c.counters.pairs_offered for c in encoded),
+            "pairs_adjacent": sum(c.counters.pairs_adjacent for c in encoded),
             "wall_s": eps_s,
         },
     }

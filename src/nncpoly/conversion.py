@@ -26,15 +26,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from operator import mul
 from typing import Iterable, Sequence
 
 from .counting import OpCounters
 from .errors import DimensionError, EmptySystem, InvariantError, KindError, StaleIdError
-from .homvec import Row, combine_with_products, eliminate, normalize, scalar_prod
+from .homvec import Row, combine_with_products, eliminate, normalize
 from .satlat import (
     Region,
     SatMatrix,
-    adjacent,
+    adjacent_pairs,
     bit_indices,
     classify_ns,
     id_mask,
@@ -101,6 +102,11 @@ class ConvCtx:
     counters: OpCounters = field(default_factory=OpCounters)
     empty: bool = False
     next_id: int = 0
+    # the live elements of each role, as id masks, kept in step with
+    # Elem.role by add_elem, drop_elem, set_role and set_empty
+    singular: int = 0
+    soft: int = 0
+    hard: int = 0
 
     def __post_init__(self):
         self.sat.counters = self.counters
@@ -111,21 +117,36 @@ class ConvCtx:
         eid = self.next_id
         self.next_id += 1
         self.elems[eid] = Elem(row, role)
+        self._flip(role, 1 << eid)
         self.sat.new_row(eid, satrow)
         return eid
 
     def drop_elem(self, eid: int) -> None:
-        del self.elems[eid]
+        self._flip(self.elems.pop(eid).role, 1 << eid)
         self.sat.drop_row(eid)
+
+    def set_role(self, eid: int, role: Role) -> None:
+        e = self.elems[eid]
+        self._flip(e.role, 1 << eid)
+        self._flip(role, 1 << eid)
+        e.role = role
+
+    def _flip(self, role: Role, bit: int) -> None:
+        # an if-chain, not a dict keyed by Role: Enum hashing is a Python call
+        if role is Role.HARD:
+            self.hard ^= bit
+        elif role is Role.SOFT:
+            self.soft ^= bit
+        else:
+            self.singular ^= bit
 
     def role_mask(self, role: Role, within: int) -> int:
         """Id mask of the elements in ``within`` that have the role."""
-        elems = self.elems
-        out = 0
-        for eid in bit_indices(within):
-            if elems[eid].role is role:
-                out |= 1 << eid
-        return out
+        if role is Role.HARD:
+            return self.hard & within
+        if role is Role.SOFT:
+            return self.soft & within
+        return self.singular & within
 
     def row_of(self, eid: int) -> Row:
         try:
@@ -136,6 +157,7 @@ class ConvCtx:
     def set_empty(self) -> None:
         self.empty = True
         self.elems.clear()
+        self.singular = self.soft = self.hard = 0
         self.ns.clear()
         self.sat.clear()
 
@@ -151,6 +173,9 @@ class ConvCtx:
             counters=counters,
             empty=self.empty,
             next_id=self.next_id,
+            singular=self.singular,
+            soft=self.soft,
+            hard=self.hard,
         )
         return out
 
@@ -169,10 +194,7 @@ class ConvCtx:
         for row, role in elems:
             ctx.add_elem(row, role)
         for saturating in cols:
-            sats = set(saturating) | {
-                i for i, e in ctx.elems.items() if e.role is Role.SINGULAR
-            }
-            ctx.sat.add_col(sats)
+            ctx.sat.add_col(set(saturating) | set(bit_indices(ctx.singular)))
         ctx.ns = {id_mask(s) for s in ns}
         return ctx
 
@@ -189,26 +211,23 @@ def _combine_role(added: Role, a: Role, b: Role) -> Role:
 
 
 def partition_elems(ctx: ConvCtx, row: Row) -> _Split:
-    """Sign every element against the row.  Singular elements join no part;
-    the lowest-id one the row does not saturate is recorded as violated
-    (dict order is id order, since ids only grow)."""
+    """Sign every element against the row (one scalar product each; the
+    caller checked the row's length).  Singular elements join no part; the
+    lowest-id one the row does not saturate is recorded as violated."""
     sps: dict[int, int] = {}
-    pos = zero = neg = 0
-    violated = None
+    pos = neg = 0
     for eid, e in ctx.elems.items():
-        s = scalar_prod(row, e.row)
-        ctx.counters.vec_ops += 1
-        sps[eid] = s
-        if e.role is Role.SINGULAR:
-            if s and violated is None:
-                violated = eid
-        elif s > 0:
+        s = sps[eid] = sum(map(mul, row, e.row))
+        if s > 0:
             pos |= 1 << eid
         elif s < 0:
             neg |= 1 << eid
-        else:
-            zero |= 1 << eid
-    return _Split(sps, pos, zero, neg, violated)
+    ctx.counters.vec_ops += len(sps)
+    singular = ctx.singular
+    broken = (pos | neg) & singular
+    violated = (broken & -broken).bit_length() - 1 if broken else None
+    zero = (ctx.soft | ctx.hard) & ~(pos | neg)
+    return _Split(sps, pos & ~singular, zero, neg & ~singular, violated)
 
 
 def combine_adjacent(ctx: ConvCtx, role: Role, split: _Split) -> list[int]:
@@ -219,24 +238,21 @@ def combine_adjacent(ctx: ConvCtx, role: Role, split: _Split) -> list[int]:
     adjacent positives of each negative element are recorded on the split
     for ``create_ns``.
     """
+    elems, sat, sps, adj = ctx.elems, ctx.sat, split.sps, split.adj
     witnesses = split.pos | split.zero | split.neg
-    adj = split.adj
     new_ids: list[int] = []
-    negs = list(bit_indices(split.neg))
-    for p in bit_indices(split.pos):
-        for m in negs:
-            if not adjacent(ctx.sat, p, m, witnesses):
-                continue
-            adj[m] = adj.get(m, 0) | 1 << p
-            combined = combine_with_products(
-                ctx.elems[p].row, ctx.elems[m].row, split.sps[p], split.sps[m]
-            )
-            ctx.counters.vec_ops += 1
-            satrow = ctx.sat.and_rows((p, m))
-            eid = ctx.add_elem(combined, _combine_role(role, ctx.elems[p].role, ctx.elems[m].role), satrow)
-            split.zero |= 1 << eid
-            split.sps[eid] = 0
-            new_ids.append(eid)
+    for p, m in adjacent_pairs(sat, bit_indices(split.pos), bit_indices(split.neg), witnesses):
+        adj[m] = adj.get(m, 0) | 1 << p
+        ep, em = elems[p], elems[m]
+        combined = combine_with_products(ep.row, em.row, sps[p], sps[m])
+        eid = ctx.add_elem(combined, _combine_role(role, ep.role, em.role), sat.and_rows((p, m)))
+        split.zero |= 1 << eid
+        sps[eid] = 0
+        new_ids.append(eid)
+    counters = ctx.counters
+    counters.vec_ops += len(new_ids)
+    counters.pairs_offered += split.pos.bit_count() * split.neg.bit_count()
+    counters.pairs_adjacent += len(new_ids)
     return new_ids
 
 
@@ -316,13 +332,11 @@ def promote_singletons(ctx: ConvCtx) -> None:
 
     The family must be an antichain, as every step leaves it: then no other
     support contains a promoted element, and none needs dropping."""
-    for ns in [ns for ns in ctx.ns if not ns & (ns - 1)]:
-        e = ctx.elems.get(ns.bit_length() - 1)
-        if e is None or e.role is not Role.SOFT:
+    for ns in [ns for ns in ctx.ns if not ns & (ns - 1) and ns & ctx.soft]:
+        eid = ns.bit_length() - 1
+        if ctx.producing is Side.GEN and ctx.elems[eid].row[0] == 0:
             continue
-        if ctx.producing is Side.GEN and e.row[0] == 0:
-            continue
-        e.role = Role.HARD
+        ctx.set_role(eid, Role.HARD)
         ctx.ns.discard(ns)
 
 
@@ -340,7 +354,7 @@ def violating_singular(ctx: ConvCtx, split: _Split, vid: int) -> None:
     half = ctx.elems[vid].row if sv > 0 else normalize(tuple(-x for x in ctx.elems[vid].row))
     sl = abs(sv)
     ctx.elems[vid].row = half
-    ctx.elems[vid].role = Role.SOFT
+    ctx.set_role(vid, Role.SOFT)
     split.sps[vid] = sl
     split.zero |= split.pos | split.neg
     split.pos, split.neg = 1 << vid, 0
@@ -367,7 +381,7 @@ def strict_on_eq_points(ctx: ConvCtx, split: _Split, regions: dict[int, Region])
     hard_zero = ctx.role_mask(Role.HARD, split.zero)
     seeds = _seeds(hard_zero, regions, Region.ZERO)
     for i in bit_indices(hard_zero):
-        ctx.elems[i].role = Role.SOFT
+        ctx.set_role(i, Role.SOFT)
     soft_pos = ctx.role_mask(Role.SOFT, split.pos)
     return enumerate_faces(ctx, seeds, soft_pos, split)
 

@@ -22,7 +22,7 @@ from typing import Sequence
 from .counting import OpCounters
 from .errors import DimensionError, EmptySystem, InvariantError, KindError
 from .homvec import Row, combine_with_products, eliminate, normalize, scalar_prod
-from .satlat import SatMatrix, adjacent, id_mask
+from .satlat import SatMatrix, adjacent_pairs, id_mask
 from .systems import ConKind, Constraint, GenKind, Generator
 
 
@@ -145,22 +145,19 @@ def closed_add_row(cone: ClosedCone, row: Row, line: bool) -> None:
             # rays share at least rank - 2 = (dim + 1 - #lines) - 2 saturated
             # rows, so a pair sharing fewer skips the closure.
             need = cone.dim - 1 - sum(e.line for e in cone.elems.values())
-            bits = cone.sat.bits
-            cone.counters.sat_ops += len(pos) * len(neg)
-            for p in pos:
-                bp = bits[p]
-                for m in neg:
-                    if (bp & bits[m]).bit_count() < need:
-                        continue
-                    if not adjacent(cone.sat, p, m, witnesses):
-                        continue
-                    combined = combine_with_products(
-                        cone.elems[p].row, cone.elems[m].row, sps[p], sps[m]
-                    )
-                    cone.counters.vec_ops += 1
-                    satrow = cone.sat.and_rows((p, m))
-                    eid = cone.add(combined, False, satrow)
-                    sps[eid] = 0
+            found = 0
+            for p, m in adjacent_pairs(cone.sat, pos, neg, witnesses, need):
+                combined = combine_with_products(
+                    cone.elems[p].row, cone.elems[m].row, sps[p], sps[m]
+                )
+                eid = cone.add(combined, False, cone.sat.and_rows((p, m)))
+                sps[eid] = 0
+                found += 1
+            counters = cone.counters
+            counters.sat_ops += len(pos) * len(neg)  # the quick tests
+            counters.vec_ops += found
+            counters.pairs_offered += len(pos) * len(neg)
+            counters.pairs_adjacent += found
             doomed = set(neg) | (set(pos) if line else set())
             for eid in doomed:
                 cone.drop(eid)

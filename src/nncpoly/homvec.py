@@ -78,7 +78,7 @@ def combine_with_products(gp: Sequence[int], gm: Sequence[int], sp: int, sm: int
     against.  Returns the gcd-normalized result."""
     if sp <= 0 or sm >= 0:
         raise CombineError(f"need opposite product signs, got {sp} and {sm}")
-    return normalize(tuple((-sm) * a + sp * b for a, b in zip(gp, gm)))
+    return normalize(tuple([(-sm) * a + sp * b for a, b in zip(gp, gm)]))
 
 
 def eliminate(keep: Sequence[int], pivot: Sequence[int], sk: int, sv: int) -> Row:
@@ -88,7 +88,7 @@ def eliminate(keep: Sequence[int], pivot: Sequence[int], sk: int, sv: int) -> Ro
     must be nonzero)."""
     if sv == 0:
         raise CombineError("pivot row does not meet the hyperplane")
-    return normalize(tuple(sv * a - sk * b for a, b in zip(keep, pivot)), bidirectional=True)
+    return normalize(tuple([sv * a - sk * b for a, b in zip(keep, pivot)]), bidirectional=True)
 
 
 def rational_point_row(coords: Iterable[Fraction | int]) -> Row:

@@ -4,8 +4,9 @@ Every conversion element carries a saturation row: one bit per opposite-side
 row seen so far, set when the scalar product was zero.  Supports of
 non-skeleton strictness marks are sets of element ids, stored as int id
 masks (bit e set for element e); the helpers here close, project, classify
-and minimize them.  One closure routine, ``supp_cl``, serves both faces and
-combinatorial adjacency.
+and minimize them.  ``supp_cl`` closes faces; ``adjacent_pairs`` runs the
+same closure over every positive/negative pair of a step, the pair loop of
+both engines.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ class SatMatrix:
     ``cols[c]`` has bit e set for the same pairs.  ``drop_row`` leaves the
     dropped id's bits in ``cols``: this is sound because an id is never
     reused until ``clear()`` and every column query is ANDed with a mask of
-    live ids (the candidates of ``supp_cl``, which for ``adjacent`` are the
-    witnesses).
+    live ids (the candidates of ``supp_cl``, or the witnesses of
+    ``adjacent_pairs``).
     """
 
     counters: OpCounters = field(default_factory=OpCounters)
@@ -116,11 +117,46 @@ def supp_cl(sat: SatMatrix, members: Iterable[int], candidates: int) -> int:
     return candidates
 
 
+def adjacent_pairs(
+    sat: SatMatrix, pos: Iterable[int], neg: Iterable[int], witnesses: int, need: int = 0
+) -> Iterator[tuple[int, int]]:
+    """The combinatorially adjacent pairs of a step, p-major in the order
+    given: (p, m) is adjacent when no witness but p and m (an id mask of
+    live elements) saturates every column the two jointly saturate, i.e.
+    closing {p, m} over the other witnesses leaves nothing.
+
+    Each pair's rows are ANDed once.  A pair sharing fewer than ``need``
+    columns is skipped uncharged (the caller's rank bound, which it charges
+    itself); any other pair is charged what ``supp_cl`` charges for
+    {p, m}: two rows plus one sat_op per shared column.
+
+    The caller may add rows while it iterates (``combine_adjacent`` adds
+    each combination at once): the candidates of every walk are masked by
+    the witnesses fixed at the start, so the new ids that ``new_row`` sets
+    in the columns never count.
+    """
+    bits, cols, counters = sat.bits, sat.cols, sat.counters
+    neg = list(neg)
+    for p in pos:
+        bp = bits[p]
+        for m in neg:
+            common = bp & bits[m]
+            shared = common.bit_count()
+            if shared < need:
+                continue
+            counters.sat_ops += 2 + shared
+            cands = witnesses & ~(1 << p | 1 << m)
+            while common and cands:
+                low = common & -common
+                cands &= cols[low.bit_length() - 1]
+                common ^= low
+            if not cands:
+                yield p, m
+
+
 def adjacent(sat: SatMatrix, a: int, b: int, witnesses: int) -> bool:
-    """Combinatorial adjacency: no witness but a and b saturates every
-    column that a and b jointly saturate, i.e. closing {a, b} over the
-    other witnesses (an id mask of live elements) leaves nothing."""
-    return supp_cl(sat, (a, b), witnesses & ~(1 << a | 1 << b)) == 0
+    """Whether one pair is adjacent: ``adjacent_pairs`` on {a} x {b}."""
+    return any(adjacent_pairs(sat, (a,), (b,), witnesses))
 
 
 class Region(Enum):

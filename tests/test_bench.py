@@ -44,3 +44,7 @@ def test_bench_report_shape():
     # positive/negative pair)
     assert rep["new"]["sat_ops"] == 552
     assert rep["eps"]["sat_ops"] == 2266
+    # pairs handed to the adjacency kernel, and those found adjacent (each
+    # one combination); the eps route offers every pair, quick test or not
+    assert (rep["new"]["pairs_offered"], rep["new"]["pairs_adjacent"]) == (83, 63)
+    assert (rep["eps"]["pairs_offered"], rep["eps"]["pairs_adjacent"]) == (666, 201)

@@ -60,6 +60,7 @@ def test_convert_writes_stats(tmp_path):
     assert rec["iterations"] == 4
     assert rec["vec_ops"] > 0
     assert len(rec["sizes"]) == rec["iterations"]
+    assert rec["pairs_offered"] >= rec["pairs_adjacent"] > 0
 
 
 def test_convert_empty_v_file(tmp_path, capsys):

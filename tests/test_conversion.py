@@ -428,6 +428,10 @@ def test_every_step_leaves_a_minimal_soft_family(monkeypatch):
         assert ctx.ns == minimal_family(ctx.ns)
         hard = ctx.role_mask(Role.HARD, id_mask(ctx.elems))
         assert not any(ns & hard for ns in ctx.ns)
+        # the role masks follow every role change, drop and promotion
+        held = {Role.SINGULAR: ctx.singular, Role.SOFT: ctx.soft, Role.HARD: ctx.hard}
+        for role, mask in held.items():
+            assert mask == id_mask(e for e, el in ctx.elems.items() if el.role is role), role
 
     monkeypatch.setattr(conversion, "process_row", checked)
     for dim, rows in nnc_corpus() + wide_corpus():

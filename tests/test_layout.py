@@ -3,8 +3,9 @@
 The runtime core must not reach the exponential desk-scale oracles or the
 independent eps route, and no module may hide an import inside a function
 (such imports are how import cycles get papered over).  Every phase the
-benchmark tracer times must still exist under its name, and the engine
-keeps supports in one representation, int id masks.
+benchmark tracer times must still exist under its name, the engine keeps
+supports in one representation, int id masks, and both engines run their
+pair loops through one adjacency kernel.
 """
 
 import ast
@@ -76,6 +77,23 @@ def test_engine_builds_frozensets_only_in_mask_ids(name):
         and id(n) not in allowed
     ]
     assert not calls, f"{name}.py calls frozenset on lines {calls}"
+
+
+@pytest.mark.parametrize("name", ["conversion", "eps"])
+def test_engines_share_the_pair_kernel(name):
+    # both engines' pair loops run through satlat.adjacent_pairs; a per-pair
+    # adjacent() call would bring back three Python calls per pair
+    tree = _tree(SRC / f"{name}.py")
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert "adjacent" not in names, f"{name}.py references adjacent"
+    calls = {
+        n.func.id
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+    }
+    assert "adjacent_pairs" in calls, f"{name}.py does not call adjacent_pairs"
 
 
 def test_traced_phases_exist():

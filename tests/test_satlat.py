@@ -10,6 +10,8 @@ from nncpoly.satlat import (
     Region,
     SatMatrix,
     adjacent,
+    adjacent_pairs,
+    bit_indices,
     classify_ns,
     id_mask,
     mask_ids,
@@ -164,11 +166,67 @@ def test_clone_leaves_parent_columns_alone():
         [Generator((1, 0, 0), GenKind.POINT), Generator((1, 2, 0), GenKind.CLOSURE_POINT)]
     )
     before = (dict(parent.sat.bits), list(parent.sat.cols), parent.sat.ncols)
+    roles = ({i: e.role for i, e in parent.elems.items()}, parent.singular, parent.soft, parent.hard)
     child = parent.clone()
+    # a role change on the clone moves its masks and its element alone
+    hard = next(bit_indices(child.hard))
+    child.set_role(hard, Role.SOFT)
+    assert child.elems[hard].role is Role.SOFT and child.soft >> hard & 1
     process_row(child, (1, 1, 2), Role.HARD)
     process_row(child, (1, 0, 1), Role.SOFT)
     child.set_empty()
     assert (dict(parent.sat.bits), list(parent.sat.cols), parent.sat.ncols) == before
+    assert ({i: e.role for i, e in parent.elems.items()}, parent.singular, parent.soft, parent.hard) == roles
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_adjacent_pairs_match_per_pair_closures(seed):
+    rng = random.Random(seed)
+    sat = SatMatrix()
+    ids = range(rng.randint(12, 18))
+    for eid in ids:
+        sat.new_row(eid)
+    ncols = rng.randint(8, 14)
+    for _ in range(ncols):
+        sat.add_col(e for e in ids if rng.random() < 0.5)
+    live = [e for e in ids if rng.random() < 0.9]
+    rng.shuffle(live)
+    third = len(live) // 3
+    pos, neg = sorted(live[:third]), sorted(live[third:2 * third])
+    witnesses = id_mask(live)  # the zero part witnesses too
+    shared = {(p, m): (sat.bits[p] & sat.bits[m]).bit_count() for p in pos for m in neg}
+    next_id = len(ids)
+    for need in (0, 1, 4, ncols + 1):
+        # the definition: per pair, the closure of {p, m} over the other
+        # witnesses is empty; a pair sharing fewer than need columns is
+        # skipped before its closure
+        want, charged = [], 0
+        for p in pos:
+            for m in neg:
+                if shared[p, m] < need:
+                    continue
+                before = sat.counters.sat_ops
+                if supp_cl(sat, (p, m), witnesses & ~(1 << p | 1 << m)) == 0:
+                    want.append((p, m))
+                charged += sat.counters.sat_ops - before
+        # the kernel, with a row added per pair found as combine_adjacent
+        # does; one that saturates every column would block every later
+        # pair if it counted as a witness
+        before = sat.counters.sat_ops
+        got = []
+        for p, m in adjacent_pairs(sat, pos, neg, witnesses, need):
+            got.append((p, m))
+            sat.new_row(next_id, (1 << ncols) - 1)
+            next_id += 1
+        assert got == want
+        assert sat.counters.sat_ops == before + charged
+        if need == 0:
+            assert got
+            adjacent_at_0 = got
+        else:
+            # need drops exactly the pairs sharing fewer columns, uncharged
+            assert got == [pm for pm in adjacent_at_0 if shared[pm] >= need]
+    assert charged == 0
 
 
 def test_adjacent_blocked_by_witness():
