@@ -74,11 +74,23 @@ def _workload_eps(variants: Sequence[list[Constraint]]):
     return cones
 
 
+SUMMED = ("vec_ops", "sat_ops", "pairs_offered", "pairs_adjacent")
+FACES = ("faces_tried", "faces_walked", "faces_kept")  # the direct engine's alone
+
+
+def _route(runs, keys: Sequence[str], wall_s: float) -> dict:
+    counters = [run.counters for run in runs]
+    sizes = [s for c in counters for s in c.sizes]
+    totals = {key: sum(getattr(c, key) for c in counters) for key in keys}
+    return {"max_size": max(sizes, default=0), **totals, "wall_s": wall_s}
+
+
 def bench_dual_hypercube(dim: int) -> dict:
     """Two hulls and one intersection over four cross-polytope variants,
     once per route.  Returns max intermediate sizes, operation totals (the
-    adjacency kernel's offered and adjacent pairs included) and each
-    route's wall time in seconds (machine-dependent)."""
+    adjacency kernel's offered and adjacent pairs included, and the direct
+    engine's face closures tried, walked and kept) and each route's wall
+    time in seconds (machine-dependent)."""
     variants = [
         build_dual_hypercube(dim, offset, pattern)
         for offset in (1, 2)
@@ -90,25 +102,9 @@ def bench_dual_hypercube(dim: int) -> dict:
     started = time.perf_counter()
     encoded = _workload_eps(variants)
     eps_s = time.perf_counter() - started
-    new_sizes = [s for ctx in direct for s in ctx.counters.sizes]
-    eps_sizes = [s for cone in encoded for s in cone.counters.sizes]
     return {
         "workload": "dualhypercube",
         "dim": dim,
-        "new": {
-            "max_size": max(new_sizes, default=0),
-            "vec_ops": sum(c.counters.vec_ops for c in direct),
-            "sat_ops": sum(c.counters.sat_ops for c in direct),
-            "pairs_offered": sum(c.counters.pairs_offered for c in direct),
-            "pairs_adjacent": sum(c.counters.pairs_adjacent for c in direct),
-            "wall_s": direct_s,
-        },
-        "eps": {
-            "max_size": max(eps_sizes, default=0),
-            "vec_ops": sum(c.counters.vec_ops for c in encoded),
-            "sat_ops": sum(c.counters.sat_ops for c in encoded),
-            "pairs_offered": sum(c.counters.pairs_offered for c in encoded),
-            "pairs_adjacent": sum(c.counters.pairs_adjacent for c in encoded),
-            "wall_s": eps_s,
-        },
+        "new": _route(direct, SUMMED + FACES, direct_s),
+        "eps": _route(encoded, SUMMED, eps_s),
     }

@@ -41,7 +41,6 @@ from .satlat import (
     id_mask,
     nonredundant_union,
     proj,
-    supp_cl,
 )
 from .systems import ConKind, Constraint, GenKind, Generator
 
@@ -90,6 +89,10 @@ class _Split:
     adj: dict[int, int] = field(default_factory=dict)  # negative id -> adjacent positives
     cands: int = 0  # every part after combining: the non-singular elements
     keep: int = 0  # the elements on the kept side of the row
+    dead: int = 0  # kept elements that end the step hard
+    # shared columns -> kept part of the closure over cands, 0 if dropped;
+    # valid for the step, as cands, keep and dead are fixed once combined
+    faces: dict[int, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -260,19 +263,64 @@ def _classify_all(ctx: ConvCtx, split: _Split) -> dict[int, Region]:
     return {ns: classify_ns(ns, split.pos, split.zero, split.neg) for ns in ctx.ns}
 
 
-def _close_and_keep(ctx: ConvCtx, split: _Split, supports: Iterable[Iterable[int]]) -> set[int]:
-    """Close each support, given by its member ids, over the non-singular
-    elements and keep the part on the kept side of the new row; empty
-    results vanish."""
-    sat, cands, keep = ctx.sat, split.cands, split.keep
-    out = {supp_cl(sat, members, cands) & keep for members in supports}
-    out.discard(0)
+def _close_and_keep(
+    ctx: ConvCtx, split: _Split, seeds: Iterable[list[int]], exts: Sequence[int] | None = None
+) -> set[int]:
+    """Close faces over the candidates and keep each closure's part on the
+    kept side of the new row: every seed (its member ids) stretched by each
+    extension id it lacks, or every seed alone without extensions.  The one
+    place where the engine closes a face.
+
+    A seed's rows are ANDed once.  Equal shared columns give equal
+    closures, so each is walked once per step and cached on the split.  A
+    closure whose kept part is empty or holds an element that ends the step
+    hard is dropped at once: ``nonredundant_union`` would drop it anyway.
+    Every closure, cached or not, is charged as ``supp_cl`` charges its
+    walk: one sat_op per member row and per shared column.
+    """
+    sat = ctx.sat
+    bits, cols = sat.bits, sat.cols
+    faces, cands, keep, dead = split.faces, split.cands, split.keep, split.dead
+    out: set[int] = set()
+    ops = tried = walked = kept = 0
+    for ids in seeds:
+        base = -1
+        for i in ids:
+            base &= bits[i]
+        if exts is None:
+            shared, rows = [base], len(ids)
+        else:
+            shared, rows = [base & bits[s] for s in exts if s not in ids], len(ids) + 1
+        tried += len(shared)
+        for common in shared:
+            ops += rows + common.bit_count()
+            face = faces.get(common)
+            if face is None:
+                walked += 1
+                face = cands
+                rest = common
+                while rest and face:
+                    low = rest & -rest
+                    face &= cols[low.bit_length() - 1]
+                    rest ^= low
+                face &= keep
+                if face & dead:
+                    face = 0
+                kept += face != 0
+                faces[common] = face
+            if face:
+                out.add(face)
+    counters = ctx.counters
+    counters.sat_ops += ops
+    counters.faces_tried += tried
+    counters.faces_walked += walked
+    counters.faces_kept += kept
     return out
 
 
 def move_ns(ctx: ConvCtx, split: _Split, regions: dict[int, Region]) -> set[int]:
     """Reattach supports that straddle the new row to the kept side."""
-    mixed = [bit_indices(ns) for ns, region in regions.items() if region is Region.MIX]
+    mixed = [list(bit_indices(ns)) for ns, region in regions.items() if region is Region.MIX]
     return _close_and_keep(ctx, split, mixed) if mixed else set()
 
 
@@ -282,11 +330,10 @@ def enumerate_faces(ctx: ConvCtx, seeds: Sequence[int], extensions: int, split: 
     row."""
     if not extensions or not seeds:
         return set()
-    # each closure gets its member ids as a short list: the row AND walks
-    # that faster than the bits of a mask as wide as every id ever issued
-    exts = list(bit_indices(extensions))
+    # member ids as short lists: a seed's rows AND faster that way than by
+    # walking the bits of a mask as wide as every id ever issued
     members = [list(bit_indices(seed)) for seed in seeds]
-    return _close_and_keep(ctx, split, (ids + [s] for ids in members for s in exts if s not in ids))
+    return _close_and_keep(ctx, split, members, list(bit_indices(extensions)))
 
 
 def _seeds(hard: int, regions: dict[int, Region], region: Region) -> list[int]:
@@ -400,6 +447,8 @@ def _regular(ctx: ConvCtx, role: Role, split: _Split) -> None:
     # Fixed for the rest of the step: later phases only soften hard elements.
     split.cands = split.pos | split.zero | split.neg
     split.keep = proj(split.cands, role is Role.HARD, split.zero, split.neg)
+    # strict_on_eq_points softens the hard zero part of a strict row's step
+    split.dead = ctx.hard & split.keep & ~(split.zero if role is Role.HARD else 0)
     moved = move_ns(ctx, split, regions)
     created = create_ns(ctx, split, role, regions)
 

@@ -14,14 +14,22 @@ class OpCounters:
     each column AND of a support closure (adjacency tests included)
     counting 1 regardless of word width, and so does each rank
     quick-reject of the eps route (the intersection of two rows, then a
-    popcount).  A closure is charged one sat_op per shared column even
-    when its walk stops early because no candidate is left, so sat_ops
-    stays the modelled cost of the full walk; iterations counts processed
+    popcount).  sat_ops is the modelled cost of every closure walked in
+    full: a closure is charged one sat_op per shared column even when its
+    walk stops early because no candidate is left, and a cached closure
+    (one whose shared columns a pair or face already walked) is charged as
+    walked, so caching changes no count.  iterations counts processed
     input rows; pairs_offered counts the positive/negative pairs a step
     hands to the adjacency kernel (``satlat.adjacent_pairs``) and
-    pairs_adjacent those it finds adjacent, both added once per step;
-    sizes records the representation size (skeleton cardinality plus
-    number of stored supports) after each iteration.
+    pairs_adjacent those it finds adjacent, both added once per step.
+    faces_tried counts the face closures the direct engine asks for (each
+    support moved across the new row, each seed stretched by one
+    extension), faces_walked the cache misses among them (one per distinct
+    set of shared columns in a step), and faces_kept the walked ones that
+    survive the early drop (a non-empty kept part touching no element that
+    ends the step hard); all three are added once per batch of closures, a
+    few per step.  sizes records the representation size (skeleton
+    cardinality plus number of stored supports) after each iteration.
     """
 
     vec_ops: int = 0
@@ -29,4 +37,7 @@ class OpCounters:
     iterations: int = 0
     pairs_offered: int = 0
     pairs_adjacent: int = 0
+    faces_tried: int = 0
+    faces_walked: int = 0
+    faces_kept: int = 0
     sizes: list[int] = field(default_factory=list)

@@ -6,7 +6,9 @@ non-skeleton strictness marks are sets of element ids, stored as int id
 masks (bit e set for element e); the helpers here close, project, classify
 and minimize them.  ``supp_cl`` closes faces; ``adjacent_pairs`` runs the
 same closure over every positive/negative pair of a step, the pair loop of
-both engines.
+both engines, and walks each distinct set of shared columns once per call.
+A closure served from a cache is charged as walked (see ``OpCounters``), so
+caching moves time and no counter.
 """
 
 from __future__ import annotations
@@ -130,28 +132,48 @@ def adjacent_pairs(
     itself); any other pair is charged what ``supp_cl`` charges for
     {p, m}: two rows plus one sat_op per shared column.
 
+    Pairs with the same shared columns share one closure over the
+    witnesses, cached for the call: p and m saturate every shared column,
+    so the closure holds them, and the pair is adjacent when nothing else
+    is left.  A cached closure is charged as if walked again, so sat_ops
+    stays the modelled cost per pair.  The charges are tallied locally and
+    added before each yield and at the end.
+
     The caller may add rows while it iterates (``combine_adjacent`` adds
     each combination at once): the candidates of every walk are masked by
     the witnesses fixed at the start, so the new ids that ``new_row`` sets
-    in the columns never count.
+    in the columns never count, and no cached closure goes stale.
     """
     bits, cols, counters = sat.bits, sat.cols, sat.counters
-    neg = list(neg)
+    negs = [(m, bits[m], witnesses & ~(1 << m)) for m in neg]
+    closures: dict[int, int] = {}  # shared columns -> closure over the witnesses
+    charged = 0
     for p in pos:
         bp = bits[p]
-        for m in neg:
-            common = bp & bits[m]
+        pbit = 1 << p
+        notp = ~pbit
+        for m, bm, others in negs:
+            common = bp & bm
             shared = common.bit_count()
             if shared < need:
                 continue
-            counters.sat_ops += 2 + shared
-            cands = witnesses & ~(1 << p | 1 << m)
-            while common and cands:
-                low = common & -common
-                cands &= cols[low.bit_length() - 1]
-                common ^= low
-            if not cands:
+            charged += 2 + shared
+            closure = closures.get(common)
+            if closure is None:
+                # walk without p and m, which survive every column, so the
+                # walk may stop once nothing else is left
+                cands = others & notp
+                rest = common
+                while rest and cands:
+                    low = rest & -rest
+                    cands &= cols[low.bit_length() - 1]
+                    rest ^= low
+                closure = closures[common] = cands | witnesses & (pbit | 1 << m)
+            if not closure & others & notp:
+                counters.sat_ops += charged
+                charged = 0
                 yield p, m
+    counters.sat_ops += charged
 
 
 def adjacent(sat: SatMatrix, a: int, b: int, witnesses: int) -> bool:

@@ -61,6 +61,8 @@ def test_convert_writes_stats(tmp_path):
     assert rec["vec_ops"] > 0
     assert len(rec["sizes"]) == rec["iterations"]
     assert rec["pairs_offered"] >= rec["pairs_adjacent"] > 0
+    assert rec["faces_tried"] >= rec["faces_walked"] >= rec["faces_kept"] >= 0
+    assert rec["faces_tried"] > 0
 
 
 def test_convert_empty_v_file(tmp_path, capsys):

@@ -471,6 +471,20 @@ def test_wide_systems_match_the_eps_route():
         assert gens_within(eps.eps_c2g(cons)[0], eps_cons), idx
 
 
+def test_wide_g2c_counters_are_pinned():
+    # exact work of one dim-6 g2c past the bench's dim 3, so a charge that
+    # moves only on wider input still fails here; the counters model the
+    # walks in full, so cached closures leave them alone
+    dim, rows = wide_corpus()[10]
+    assert dim == 6
+    ctx = conversion_g2c(emit_generators(conversion_c2g(rows, dim=dim)))
+    c = ctx.counters
+    assert (c.vec_ops, c.sat_ops) == (4202, 196849)
+    assert (c.pairs_offered, c.pairs_adjacent) == (27281, 878)
+    assert (c.faces_tried, c.faces_walked, c.faces_kept) == (23238, 3816, 67)
+    assert (max(c.sizes), len(ctx.ns)) == (90, 0)
+
+
 def test_wrong_side_feeding_raises():
     gen_ctx = universe_gen_ctx(2)
     with pytest.raises(KindError):

@@ -4,8 +4,9 @@ The runtime core must not reach the exponential desk-scale oracles or the
 independent eps route, and no module may hide an import inside a function
 (such imports are how import cycles get papered over).  Every phase the
 benchmark tracer times must still exist under its name, the engine keeps
-supports in one representation, int id masks, and both engines run their
-pair loops through one adjacency kernel.
+supports in one representation, int id masks, both engines run their
+pair loops through one adjacency kernel, and the direct engine closes every
+face through one helper.
 """
 
 import ast
@@ -79,21 +80,46 @@ def test_engine_builds_frozensets_only_in_mask_ids(name):
     assert not calls, f"{name}.py calls frozenset on lines {calls}"
 
 
+def _names(tree: ast.AST) -> set[str]:
+    """Every name, attribute and imported name the code mentions."""
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    return names
+
+
+def _calls(tree: ast.AST) -> set[str]:
+    return {
+        n.func.id
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+    }
+
+
 @pytest.mark.parametrize("name", ["conversion", "eps"])
 def test_engines_share_the_pair_kernel(name):
     # both engines' pair loops run through satlat.adjacent_pairs; a per-pair
     # adjacent() call would bring back three Python calls per pair
     tree = _tree(SRC / f"{name}.py")
-    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
-    names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
-    assert "adjacent" not in names, f"{name}.py references adjacent"
-    calls = {
-        n.func.id
-        for n in ast.walk(tree)
-        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+    assert "adjacent" not in _names(tree), f"{name}.py references adjacent"
+    assert "adjacent_pairs" in _calls(tree), f"{name}.py does not call adjacent_pairs"
+
+
+def test_face_closures_share_one_helper():
+    # every face closure of the direct engine goes through _close_and_keep,
+    # which walks each set of shared columns once per step; supp_cl or a
+    # second column walk would close repeated faces again
+    tree = _tree(SRC / "conversion.py")
+    assert "supp_cl" not in _names(tree)
+    functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    walkers = {
+        fn.name
+        for fn in functions
+        if any(isinstance(n, ast.Attribute) and n.attr == "cols" for n in ast.walk(fn))
     }
-    assert "adjacent_pairs" in calls, f"{name}.py does not call adjacent_pairs"
+    assert walkers == {"_close_and_keep"}
+    callers = {fn.name for fn in functions if "_close_and_keep" in _calls(fn)}
+    assert callers == {"move_ns", "enumerate_faces"}
 
 
 def test_traced_phases_exist():

@@ -3,7 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from nncpoly.conversion import Role, conversion_g2c, process_row
+from nncpoly.conversion import (
+    ConvCtx,
+    Role,
+    Side,
+    _Split,
+    conversion_g2c,
+    enumerate_faces,
+    move_ns,
+    process_row,
+)
 from nncpoly.errors import EmptySupportError, InvalidVector, ScaleLimitExceeded
 from nncpoly.oracle import alpha, face_supports, gamma
 from nncpoly.satlat import (
@@ -179,6 +188,31 @@ def test_clone_leaves_parent_columns_alone():
     assert ({i: e.role for i, e in parent.elems.items()}, parent.singular, parent.soft, parent.hard) == roles
 
 
+def random_state(rng: random.Random) -> tuple[SatMatrix, list[int]]:
+    """A saturation matrix as a run leaves it, and its live ids: dropped
+    rows linger in the columns, and about a third of the rows repeat an
+    earlier one, so that faces share their columns."""
+    sat = SatMatrix()
+    ncols = rng.randint(8, 14)
+    for _ in range(ncols):
+        sat.add_col(())
+    n = rng.randint(12, 18)
+    for eid in range(n):
+        again = eid and rng.random() < 0.3
+        sat.new_row(eid, sat.bits[rng.randrange(eid)] if again else rng.getrandbits(ncols))
+    live = [e for e in range(n) if rng.random() < 0.9]
+    for eid in set(range(n)) - set(live):
+        sat.drop_row(eid)
+    return sat, live
+
+
+def shared_columns(sat: SatMatrix, ids) -> int:
+    common = -1
+    for eid in ids:
+        common &= sat.bits[eid]
+    return common
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_adjacent_pairs_match_per_pair_closures(seed):
     rng = random.Random(seed)
@@ -193,9 +227,16 @@ def test_adjacent_pairs_match_per_pair_closures(seed):
     rng.shuffle(live)
     third = len(live) // 3
     pos, neg = sorted(live[:third]), sorted(live[third:2 * third])
-    witnesses = id_mask(live)  # the zero part witnesses too
+    # a positive element saturating just what the first pair shares meets
+    # the first negative one in the same columns: a cached closure
+    twin = max(sat.bits) + 1
+    sat.new_row(twin, sat.bits[pos[0]] & sat.bits[neg[0]])
+    pos.append(twin)
+    witnesses = id_mask(live + [twin])  # the zero part witnesses too
+    commons = [sat.bits[p] & sat.bits[m] for p in pos for m in neg]
+    assert len(set(commons)) < len(commons)
     shared = {(p, m): (sat.bits[p] & sat.bits[m]).bit_count() for p in pos for m in neg}
-    next_id = len(ids)
+    next_id = twin + 1
     for need in (0, 1, 4, ncols + 1):
         # the definition: per pair, the closure of {p, m} over the other
         # witnesses is empty; a pair sharing fewer than need columns is
@@ -227,6 +268,59 @@ def test_adjacent_pairs_match_per_pair_closures(seed):
             # need drops exactly the pairs sharing fewer columns, uncharged
             assert got == [pm for pm in adjacent_at_0 if shared[pm] >= need]
     assert charged == 0
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cached_face_closures_match_supp_cl(seed):
+    rng = random.Random(seed)
+    sat, live = random_state(rng)
+    ctx = ConvCtx(dim=1, producing=Side.CON, sat=sat)
+    cands = id_mask(e for e in live if rng.random() < 0.9)
+    members = list(bit_indices(cands))
+    keep = id_mask(e for e in members if rng.random() < 0.6)
+    dead = id_mask(e for e in bit_indices(keep) if rng.random() < 0.2)
+    split = _Split({}, 0, 0, 0, cands=cands, keep=keep, dead=dead)
+    counters = ctx.counters
+    walked_masks: set[int] = set()
+
+    def check(closed, supports):
+        """Compare a batch of closures with supp_cl on each support: the
+        kept parts, minus those empty or meeting a dead element, and the
+        same sat_ops charge, cached or not; only columns not seen before in
+        the step are walked."""
+        want, charged, fresh, kept = set(), 0, set(), 0
+        for ids in supports:
+            before = counters.sat_ops
+            face = supp_cl(sat, ids, cands) & keep
+            charged += counters.sat_ops - before
+            survives = face and not face & dead
+            if survives:
+                want.add(face)
+            common = shared_columns(sat, ids)
+            if common not in walked_masks | fresh:
+                fresh.add(common)
+                kept += bool(survives)
+        before = (counters.sat_ops, counters.faces_tried, counters.faces_walked, counters.faces_kept)
+        assert closed() == want
+        after = (counters.sat_ops, counters.faces_tried, counters.faces_walked, counters.faces_kept)
+        assert [b - a for a, b in zip(before, after)] == [charged, len(supports), len(fresh), kept]
+        walked_masks.update(fresh)
+        return fresh
+
+    seeds = [id_mask(rng.sample(members, rng.randint(1, 3))) for _ in range(5)]
+    exts = id_mask(rng.sample(members, min(6, len(members))))
+    stretched = [
+        list(bit_indices(seed)) + [s]
+        for seed in seeds
+        for s in bit_indices(exts)
+        if not seed >> s & 1
+    ]
+    fresh = check(lambda: enumerate_faces(ctx, seeds, exts, split), stretched)
+    assert len(fresh) < len(stretched)  # some closures come from the cache
+    # moved supports close alone, through the same cache for the step
+    mixed = set(seeds)
+    check(lambda: move_ns(ctx, split, dict.fromkeys(mixed, Region.MIX)),
+          [list(bit_indices(ns)) for ns in mixed])
 
 
 def test_adjacent_blocked_by_witness():
