@@ -19,6 +19,8 @@ from .conversion import conversion_c2g, conversion_g2c, emit_constraints, emit_g
 from .errors import DimensionError
 from .systems import ConKind, Constraint, Generator
 
+MAX_DIM = 10  # 2**dim facets per variant; the benchmark stops at dim 8
+
 
 def build_dual_hypercube(
     dim: int, offset: int = 1, pattern: str = "poles"
@@ -27,10 +29,11 @@ def build_dual_hypercube(
 
     pattern "poles": the all-plus and all-minus facets are nonstrict, the
     rest strict.  pattern "first": the first two sign vectors in product
-    order are nonstrict instead.
+    order are nonstrict instead.  A dimension above ``MAX_DIM`` is refused
+    before any row is built.
     """
-    if dim < 1:
-        raise DimensionError("dimension must be at least 1")
+    if not 1 <= dim <= MAX_DIM:
+        raise DimensionError(f"dimension must be between 1 and {MAX_DIM}")
     if offset < 1:
         raise ValueError("offset must be positive")
     if pattern not in ("poles", "first"):

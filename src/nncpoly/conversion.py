@@ -41,6 +41,7 @@ from .satlat import (
     id_mask,
     nonredundant_union,
     proj,
+    walk,
 )
 from .systems import ConKind, Constraint, GenKind, Generator
 
@@ -90,9 +91,9 @@ class _Split:
     cands: int = 0  # every part after combining: the non-singular elements
     keep: int = 0  # the elements on the kept side of the row
     dead: int = 0  # kept elements that end the step hard
-    # shared columns -> kept part of the closure over cands, 0 if dropped;
-    # valid for the step, as cands, keep and dead are fixed once combined
-    faces: dict[int, int] = field(default_factory=dict)
+    # shared columns walked this step; a repeated mask is skipped, as its
+    # face already went out (cands, keep and dead are fixed once combined)
+    faces: set[int] = field(default_factory=set)
 
 
 @dataclass
@@ -271,18 +272,20 @@ def _close_and_keep(
     extension id it lacks, or every seed alone without extensions.  The one
     place where the engine closes a face.
 
-    A seed's rows are ANDed once.  Equal shared columns give equal
-    closures, so each is walked once per step and cached on the split.  A
-    closure whose kept part is empty or holds an element that ends the step
-    hard is dropped at once: ``nonredundant_union`` would drop it anyway.
-    Every closure, cached or not, is charged as ``supp_cl`` charges its
-    walk: one sat_op per member row and per shared column.
+    A seed's rows are ANDed once.  Equal shared columns give equal faces,
+    and the first walk of the step already returned its face to the step's
+    one ``nonredundant_union``, so a repeated mask is skipped.  A face whose
+    kept part is empty or holds an element that ends the step hard is
+    dropped at once: ``nonredundant_union`` would drop it anyway.  Every
+    closure, walked or skipped, is charged as ``supp_cl`` charges its walk:
+    one sat_op per member row and per shared column.
     """
     sat = ctx.sat
     bits, cols = sat.bits, sat.cols
     faces, cands, keep, dead = split.faces, split.cands, split.keep, split.dead
     out: set[int] = set()
-    ops = tried = walked = kept = 0
+    ops = tried = kept = 0
+    before = len(faces)
     for ids in seeds:
         base = -1
         for i in ids:
@@ -294,26 +297,17 @@ def _close_and_keep(
         tried += len(shared)
         for common in shared:
             ops += rows + common.bit_count()
-            face = faces.get(common)
-            if face is None:
-                walked += 1
-                face = cands
-                rest = common
-                while rest and face:
-                    low = rest & -rest
-                    face &= cols[low.bit_length() - 1]
-                    rest ^= low
-                face &= keep
-                if face & dead:
-                    face = 0
-                kept += face != 0
-                faces[common] = face
-            if face:
+            if common in faces:
+                continue
+            faces.add(common)
+            face = walk(cols, cands, common) & keep
+            if face and not face & dead:
+                kept += 1
                 out.add(face)
     counters = ctx.counters
     counters.sat_ops += ops
     counters.faces_tried += tried
-    counters.faces_walked += walked
+    counters.faces_walked += len(faces) - before
     counters.faces_kept += kept
     return out
 

@@ -16,15 +16,16 @@ class OpCounters:
     quick-reject of the eps route (the intersection of two rows, then a
     popcount).  sat_ops is the modelled cost of every closure walked in
     full: a closure is charged one sat_op per shared column even when its
-    walk stops early because no candidate is left, and a cached closure
-    (one whose shared columns a pair or face already walked) is charged as
-    walked, so caching changes no count.  iterations counts processed
-    input rows; pairs_offered counts the positive/negative pairs a step
-    hands to the adjacency kernel (``satlat.adjacent_pairs``) and
-    pairs_adjacent those it finds adjacent, both added once per step.
+    walk stops early because no candidate is left, and a repeated mask
+    (shared columns a pair or face already walked in the same call or
+    step) is skipped and charged as walked, so skipping changes no count.
+    iterations counts processed input rows; pairs_offered counts the
+    positive/negative pairs a step hands to the adjacency kernel
+    (``satlat.adjacent_pairs``) and pairs_adjacent those it finds
+    adjacent, both added once per step.
     faces_tried counts the face closures the direct engine asks for (each
     support moved across the new row, each seed stretched by one
-    extension), faces_walked the cache misses among them (one per distinct
+    extension), faces_walked those walked, not skipped (one per distinct
     set of shared columns in a step), and faces_kept the walked ones that
     survive the early drop (a non-empty kept part touching no element that
     ends the step hard); all three are added once per batch of closures, a

@@ -4,11 +4,12 @@ Every conversion element carries a saturation row: one bit per opposite-side
 row seen so far, set when the scalar product was zero.  Supports of
 non-skeleton strictness marks are sets of element ids, stored as int id
 masks (bit e set for element e); the helpers here close, project, classify
-and minimize them.  ``supp_cl`` closes faces; ``adjacent_pairs`` runs the
-same closure over every positive/negative pair of a step, the pair loop of
-both engines, and walks each distinct set of shared columns once per call.
-A closure served from a cache is charged as walked (see ``OpCounters``), so
-caching moves time and no counter.
+and minimize them.  ``walk`` is the one column walk of a closure:
+``supp_cl`` closes faces with it, and ``adjacent_pairs``, the pair loop of
+both engines, runs it over every positive/negative pair of a step.  A pair
+whose shared columns repeat an earlier pair's in the call is never
+adjacent, so a repeated mask is skipped and charged as walked (see
+``OpCounters``): skipping moves time and no counter.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ class SatMatrix:
     ``cols[c]`` has bit e set for the same pairs.  ``drop_row`` leaves the
     dropped id's bits in ``cols``: this is sound because an id is never
     reused until ``clear()`` and every column query is ANDed with a mask of
-    live ids (the candidates of ``supp_cl``, or the witnesses of
-    ``adjacent_pairs``).
+    live ids (the candidates of ``walk``).
     """
 
     counters: OpCounters = field(default_factory=OpCounters)
@@ -104,19 +104,25 @@ def mask_ids(mask: int) -> frozenset[int]:
     return frozenset(bit_indices(mask))
 
 
+def walk(cols: list[int], cands: int, common: int) -> int:
+    """The candidates (an id mask) that saturate every column of the mask
+    ``common``: ``cands`` ANDed with each such column.  The walk stops once
+    no candidate is left, since ANDing more columns cannot bring one back.
+    The one column walk of the library; callers charge it."""
+    while common and cands:
+        low = common & -common
+        cands &= cols[low.bit_length() - 1]
+        common ^= low
+    return cands
+
+
 def supp_cl(sat: SatMatrix, members: Iterable[int], candidates: int) -> int:
     """Saturation closure of a support, as an id mask: the candidates that
     saturate every column the members jointly saturate.  Each shared column
-    counts one sat_op, also those the walk skips: it stops once no candidate
-    is left, since ANDing more columns cannot bring one back."""
+    counts one sat_op, also those the walk skips."""
     common = sat.and_rows(members)
     sat.counters.sat_ops += common.bit_count()
-    cols = sat.cols
-    while common and candidates:
-        low = common & -common
-        candidates &= cols[low.bit_length() - 1]
-        common ^= low
-    return candidates
+    return walk(sat.cols, candidates, common)
 
 
 def adjacent_pairs(
@@ -124,52 +130,43 @@ def adjacent_pairs(
 ) -> Iterator[tuple[int, int]]:
     """The combinatorially adjacent pairs of a step, p-major in the order
     given: (p, m) is adjacent when no witness but p and m (an id mask of
-    live elements) saturates every column the two jointly saturate, i.e.
-    closing {p, m} over the other witnesses leaves nothing.
+    live elements holding every p and m) saturates every column the two
+    jointly saturate, i.e. the walk of those columns over the other
+    witnesses leaves nothing.
 
     Each pair's rows are ANDed once.  A pair sharing fewer than ``need``
     columns is skipped uncharged (the caller's rank bound, which it charges
     itself); any other pair is charged what ``supp_cl`` charges for
     {p, m}: two rows plus one sat_op per shared column.
 
-    Pairs with the same shared columns share one closure over the
-    witnesses, cached for the call: p and m saturate every shared column,
-    so the closure holds them, and the pair is adjacent when nothing else
-    is left.  A cached closure is charged as if walked again, so sat_ops
-    stays the modelled cost per pair.  The charges are tallied locally and
-    added before each yield and at the end.
+    A repeated mask is skipped and charged as walked: a pair whose shared
+    columns repeat an earlier pair's in the call is never adjacent, since
+    the earlier pair's elements saturate those columns and at least one of
+    them is a witness other than p and m.  The charges are tallied locally
+    and added before each yield and at the end.
 
     The caller may add rows while it iterates (``combine_adjacent`` adds
     each combination at once): the candidates of every walk are masked by
     the witnesses fixed at the start, so the new ids that ``new_row`` sets
-    in the columns never count, and no cached closure goes stale.
+    in the columns never count.
     """
     bits, cols, counters = sat.bits, sat.cols, sat.counters
     negs = [(m, bits[m], witnesses & ~(1 << m)) for m in neg]
-    closures: dict[int, int] = {}  # shared columns -> closure over the witnesses
+    walked: set[int] = set()  # shared columns met so far in the call
     charged = 0
     for p in pos:
         bp = bits[p]
-        pbit = 1 << p
-        notp = ~pbit
+        notp = ~(1 << p)
         for m, bm, others in negs:
             common = bp & bm
             shared = common.bit_count()
             if shared < need:
                 continue
             charged += 2 + shared
-            closure = closures.get(common)
-            if closure is None:
-                # walk without p and m, which survive every column, so the
-                # walk may stop once nothing else is left
-                cands = others & notp
-                rest = common
-                while rest and cands:
-                    low = rest & -rest
-                    cands &= cols[low.bit_length() - 1]
-                    rest ^= low
-                closure = closures[common] = cands | witnesses & (pbit | 1 << m)
-            if not closure & others & notp:
+            if common in walked:
+                continue
+            walked.add(common)
+            if not walk(cols, others & notp, common):
                 counters.sat_ops += charged
                 charged = 0
                 yield p, m

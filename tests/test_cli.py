@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from nncpoly import cli, conversion
+from nncpoly import bench, cli, conversion
 from nncpoly.cli import main
 from nncpoly.errors import EmptySupportError, InvariantError, StaleIdError
 
@@ -148,6 +148,17 @@ def test_bench_subcommand(tmp_path, capsys):
     assert rep["eps"]["max_size"] >= rep["new"]["max_size"]
     assert rep["new"]["wall_s"] > 0 and rep["eps"]["wall_s"] > 0
     assert "wall_s=" in out
+
+
+def test_bench_dimension_over_cap_exits_2(monkeypatch, capsys):
+    # 2**dim facets per variant: an over-cap dim is refused before the
+    # first row is built, so it cannot exhaust memory
+    def no_rows(*_args):
+        raise AssertionError("a facet row was built")
+
+    monkeypatch.setattr(bench, "Constraint", no_rows)
+    assert main(["bench", "dualhypercube", "--dim", str(bench.MAX_DIM + 1)]) == 2
+    assert f"between 1 and {bench.MAX_DIM}" in capsys.readouterr().err
 
 
 def test_console_script_runs():

@@ -5,8 +5,9 @@ independent eps route, and no module may hide an import inside a function
 (such imports are how import cycles get papered over).  Every phase the
 benchmark tracer times must still exist under its name, the engine keeps
 supports in one representation, int id masks, both engines run their
-pair loops through one adjacency kernel, and the direct engine closes every
-face through one helper.
+pair loops through one adjacency kernel, the direct engine closes every
+face through one helper, and every closure walks its columns through one
+function.
 """
 
 import ast
@@ -107,7 +108,7 @@ def test_engines_share_the_pair_kernel(name):
 
 def test_face_closures_share_one_helper():
     # every face closure of the direct engine goes through _close_and_keep,
-    # which walks each set of shared columns once per step; supp_cl or a
+    # where a repeated mask is skipped and charged as walked; supp_cl or a
     # second column walk would close repeated faces again
     tree = _tree(SRC / "conversion.py")
     assert "supp_cl" not in _names(tree)
@@ -120,6 +121,27 @@ def test_face_closures_share_one_helper():
     assert walkers == {"_close_and_keep"}
     callers = {fn.name for fn in functions if "_close_and_keep" in _calls(fn)}
     assert callers == {"move_ns", "enumerate_faces"}
+
+
+def _column_walks(tree: ast.AST) -> set[str]:
+    """Functions with an ``&=`` whose right side subscripts ``cols``."""
+    return {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for n in ast.walk(fn)
+        if isinstance(n, ast.AugAssign) and isinstance(n.op, ast.BitAnd)
+        for s in ast.walk(n.value)
+        if isinstance(s, ast.Subscript) and "cols" in _names(s.value)
+    }
+
+
+def test_one_column_walk():
+    # satlat.walk is the one loop that ANDs candidates with columns; the
+    # pair kernel, supp_cl and the face helper all call it, so a second
+    # copy anywhere in the library could drift from it
+    walks = {(path.stem, fn) for path in MODULES for fn in _column_walks(_tree(path))}
+    assert walks == {("satlat", "walk")}
 
 
 def test_traced_phases_exist():

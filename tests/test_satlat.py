@@ -228,7 +228,7 @@ def test_adjacent_pairs_match_per_pair_closures(seed):
     third = len(live) // 3
     pos, neg = sorted(live[:third]), sorted(live[third:2 * third])
     # a positive element saturating just what the first pair shares meets
-    # the first negative one in the same columns: a cached closure
+    # the first negative one in the same columns: a repeated mask
     twin = max(sat.bits) + 1
     sat.new_row(twin, sat.bits[pos[0]] & sat.bits[neg[0]])
     pos.append(twin)
@@ -241,15 +241,23 @@ def test_adjacent_pairs_match_per_pair_closures(seed):
         # the definition: per pair, the closure of {p, m} over the other
         # witnesses is empty; a pair sharing fewer than need columns is
         # skipped before its closure
-        want, charged = [], 0
+        want, charged, seen, repeats = [], 0, set(), 0
         for p in pos:
             for m in neg:
                 if shared[p, m] < need:
                     continue
                 before = sat.counters.sat_ops
-                if supp_cl(sat, (p, m), witnesses & ~(1 << p | 1 << m)) == 0:
+                closure = supp_cl(sat, (p, m), witnesses & ~(1 << p | 1 << m))
+                if closure == 0:
                     want.append((p, m))
                 charged += sat.counters.sat_ops - before
+                # the rule the kernel's skip rests on: a pair whose shared
+                # columns repeat an earlier pair's is never adjacent
+                common = sat.bits[p] & sat.bits[m]
+                if common in seen:
+                    assert closure, (p, m)
+                    repeats += 1
+                seen.add(common)
         # the kernel, with a row added per pair found as combine_adjacent
         # does; one that saturates every column would block every later
         # pair if it counted as a witness
@@ -262,7 +270,7 @@ def test_adjacent_pairs_match_per_pair_closures(seed):
         assert got == want
         assert sat.counters.sat_ops == before + charged
         if need == 0:
-            assert got
+            assert got and repeats
             adjacent_at_0 = got
         else:
             # need drops exactly the pairs sharing fewer columns, uncharged
@@ -271,7 +279,7 @@ def test_adjacent_pairs_match_per_pair_closures(seed):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_cached_face_closures_match_supp_cl(seed):
+def test_step_face_closures_skip_walked_masks(seed):
     rng = random.Random(seed)
     sat, live = random_state(rng)
     ctx = ConvCtx(dim=1, producing=Side.CON, sat=sat)
@@ -282,30 +290,40 @@ def test_cached_face_closures_match_supp_cl(seed):
     split = _Split({}, 0, 0, 0, cands=cands, keep=keep, dead=dead)
     counters = ctx.counters
     walked_masks: set[int] = set()
+    surviving: set[int] = set()  # every supp_cl face of the step that survives
+    returned: set[int] = set()  # every face the step's calls return
 
     def check(closed, supports):
-        """Compare a batch of closures with supp_cl on each support: the
-        kept parts, minus those empty or meeting a dead element, and the
-        same sat_ops charge, cached or not; only columns not seen before in
-        the step are walked."""
-        want, charged, fresh, kept = set(), 0, set(), 0
+        """Compare one call of the step with supp_cl on each support: the
+        call returns the surviving kept parts (not empty, meeting no dead
+        element) of the supports whose shared columns no earlier call of
+        the step walked, and charges every support as supp_cl does, walked
+        or skipped; a repeated mask is skipped."""
+        want, charged, fresh, kept, skipped = set(), 0, set(), 0, 0
         for ids in supports:
             before = counters.sat_ops
             face = supp_cl(sat, ids, cands) & keep
             charged += counters.sat_ops - before
             survives = face and not face & dead
             if survives:
-                want.add(face)
+                surviving.add(face)
             common = shared_columns(sat, ids)
-            if common not in walked_masks | fresh:
+            if common in walked_masks:
+                skipped += 1
+                continue
+            if survives:
+                want.add(face)
+            if common not in fresh:
                 fresh.add(common)
                 kept += bool(survives)
         before = (counters.sat_ops, counters.faces_tried, counters.faces_walked, counters.faces_kept)
-        assert closed() == want
+        got = closed()
+        assert got == want
         after = (counters.sat_ops, counters.faces_tried, counters.faces_walked, counters.faces_kept)
         assert [b - a for a, b in zip(before, after)] == [charged, len(supports), len(fresh), kept]
         walked_masks.update(fresh)
-        return fresh
+        returned.update(got)
+        return fresh, skipped
 
     seeds = [id_mask(rng.sample(members, rng.randint(1, 3))) for _ in range(5)]
     exts = id_mask(rng.sample(members, min(6, len(members))))
@@ -315,12 +333,16 @@ def test_cached_face_closures_match_supp_cl(seed):
         for s in bit_indices(exts)
         if not seed >> s & 1
     ]
-    fresh = check(lambda: enumerate_faces(ctx, seeds, exts, split), stretched)
-    assert len(fresh) < len(stretched)  # some closures come from the cache
-    # moved supports close alone, through the same cache for the step
-    mixed = set(seeds)
-    check(lambda: move_ns(ctx, split, dict.fromkeys(mixed, Region.MIX)),
-          [list(bit_indices(ns)) for ns in mixed])
+    fresh, _ = check(lambda: enumerate_faces(ctx, seeds, exts, split), stretched)
+    assert len(fresh) < len(stretched)  # some masks repeat within the call
+    # moved supports close alone on the same split; one of them is a
+    # stretched seed, whose mask enumerate_faces already walked
+    mixed = set(seeds) | {id_mask(stretched[0])}
+    _, skipped = check(lambda: move_ns(ctx, split, dict.fromkeys(mixed, Region.MIX)),
+                       [list(bit_indices(ns)) for ns in mixed])
+    assert skipped
+    # nothing is lost: the step's calls return every surviving face between them
+    assert returned == surviving
 
 
 def test_adjacent_blocked_by_witness():
