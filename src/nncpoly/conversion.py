@@ -8,6 +8,9 @@ time.  Element behavior depends on a three-way role, not on the side:
 * SOFT: rays and closure points / nonstrict inequalities.
 * HARD: skeleton points / skeleton-strict inequalities.
 
+An element is its row, kept under its id, and its id's bit in the mask of
+its role; nothing else records the role.
+
 Every row takes one step (``process_row``).  If the row breaks a
 SINGULAR element, that element is first pivoted into the half the row
 keeps (``violating_singular``); the ordinary step then runs with the half
@@ -63,18 +66,14 @@ CON_ROLE = {
     ConKind.STRICT: Role.HARD,
 }
 
+ROLE_CON = {role: kind for kind, role in CON_ROLE.items()}
+
 GEN_ROLE = {
     GenKind.LINE: Role.SINGULAR,
     GenKind.RAY: Role.SOFT,
     GenKind.CLOSURE_POINT: Role.SOFT,
     GenKind.POINT: Role.HARD,
 }
-
-
-@dataclass
-class Elem:
-    row: Row
-    role: Role
 
 
 @dataclass
@@ -100,14 +99,13 @@ class _Split:
 class ConvCtx:
     dim: int
     producing: Side
-    elems: dict[int, Elem] = field(default_factory=dict)
+    rows: dict[int, Row] = field(default_factory=dict)
     sat: SatMatrix = field(default_factory=SatMatrix)
     ns: set[int] = field(default_factory=set)  # supports, as id masks
     counters: OpCounters = field(default_factory=OpCounters)
     empty: bool = False
     next_id: int = 0
-    # the live elements of each role, as id masks, kept in step with
-    # Elem.role by add_elem, drop_elem, set_role and set_empty
+    # the live elements of each role, as id masks: the one record of roles
     singular: int = 0
     soft: int = 0
     hard: int = 0
@@ -120,20 +118,19 @@ class ConvCtx:
     def add_elem(self, row: Row, role: Role, satrow: int = 0) -> int:
         eid = self.next_id
         self.next_id += 1
-        self.elems[eid] = Elem(row, role)
+        self.rows[eid] = row
         self._flip(role, 1 << eid)
         self.sat.new_row(eid, satrow)
         return eid
 
     def drop_elem(self, eid: int) -> None:
-        self._flip(self.elems.pop(eid).role, 1 << eid)
+        del self.rows[eid]
+        self._flip(self.role_of(eid), 1 << eid)
         self.sat.drop_row(eid)
 
     def set_role(self, eid: int, role: Role) -> None:
-        e = self.elems[eid]
-        self._flip(e.role, 1 << eid)
+        self._flip(self.role_of(eid), 1 << eid)
         self._flip(role, 1 << eid)
-        e.role = role
 
     def _flip(self, role: Role, bit: int) -> None:
         # an if-chain, not a dict keyed by Role: Enum hashing is a Python call
@@ -144,23 +141,24 @@ class ConvCtx:
         else:
             self.singular ^= bit
 
-    def role_mask(self, role: Role, within: int) -> int:
-        """Id mask of the elements in ``within`` that have the role."""
-        if role is Role.HARD:
-            return self.hard & within
-        if role is Role.SOFT:
-            return self.soft & within
-        return self.singular & within
+    def role_of(self, eid: int) -> Role:
+        if self.hard >> eid & 1:
+            return Role.HARD
+        if self.soft >> eid & 1:
+            return Role.SOFT
+        if self.singular >> eid & 1:
+            return Role.SINGULAR
+        raise StaleIdError(f"element {eid} is gone")
 
     def row_of(self, eid: int) -> Row:
         try:
-            return self.elems[eid].row
+            return self.rows[eid]
         except KeyError:
             raise StaleIdError(f"element {eid} is gone") from None
 
     def set_empty(self) -> None:
         self.empty = True
-        self.elems.clear()
+        self.rows.clear()
         self.singular = self.soft = self.hard = 0
         self.ns.clear()
         self.sat.clear()
@@ -171,7 +169,7 @@ class ConvCtx:
         out = ConvCtx(
             dim=self.dim,
             producing=self.producing,
-            elems={i: Elem(e.row, e.role) for i, e in self.elems.items()},
+            rows=dict(self.rows),  # rows are tuples, replaced and never changed
             sat=sat,
             ns=set(self.ns),
             counters=counters,
@@ -203,14 +201,6 @@ class ConvCtx:
         return ctx
 
 
-def _combine_role(added: Role, a: Role, b: Role) -> Role:
-    if added is Role.HARD:
-        return Role.SOFT
-    if a is Role.HARD or b is Role.HARD:
-        return Role.HARD
-    return Role.SOFT
-
-
 # -- iteration steps ----------------------------------------------------
 
 
@@ -220,8 +210,8 @@ def partition_elems(ctx: ConvCtx, row: Row) -> _Split:
     lowest-id one the row does not saturate is recorded as violated."""
     sps: dict[int, int] = {}
     pos = neg = 0
-    for eid, e in ctx.elems.items():
-        s = sps[eid] = sum(map(mul, row, e.row))
+    for eid, r in ctx.rows.items():
+        s = sps[eid] = sum(map(mul, row, r))
         if s > 0:
             pos |= 1 << eid
         elif s < 0:
@@ -238,18 +228,20 @@ def combine_adjacent(ctx: ConvCtx, role: Role, split: _Split) -> list[int]:
     """Combine every adjacent positive/negative pair onto the new hyperplane.
 
     New elements join the zero part with an eagerly computed saturation row
-    (the AND of the parents; the new column is appended by the caller).  The
-    adjacent positives of each negative element are recorded on the split
-    for ``create_ns``.
+    (the AND of the parents; the new column is appended by the caller).  A
+    combination is hard when either parent is, unless the row is strict.
+    The adjacent positives of each negative element are recorded on the
+    split for ``create_ns``.
     """
-    elems, sat, sps, adj = ctx.elems, ctx.sat, split.sps, split.adj
+    rows, sat, sps, adj = ctx.rows, ctx.sat, split.sps, split.adj
+    hard = 0 if role is Role.HARD else ctx.hard
     witnesses = split.pos | split.zero | split.neg
     new_ids: list[int] = []
     for p, m in adjacent_pairs(sat, bit_indices(split.pos), bit_indices(split.neg), witnesses):
         adj[m] = adj.get(m, 0) | 1 << p
-        ep, em = elems[p], elems[m]
-        combined = combine_with_products(ep.row, em.row, sps[p], sps[m])
-        eid = ctx.add_elem(combined, _combine_role(role, ep.role, em.role), sat.and_rows((p, m)))
+        combined = combine_with_products(rows[p], rows[m], sps[p], sps[m])
+        born = Role.HARD if (hard >> p | hard >> m) & 1 else Role.SOFT
+        eid = ctx.add_elem(combined, born, sat.and_rows((p, m)))
         split.zero |= 1 << eid
         sps[eid] = 0
         new_ids.append(eid)
@@ -345,13 +337,13 @@ def create_ns(ctx: ConvCtx, split: _Split, role: Role, regions: dict[int, Region
     strict row it is not adjacent to.  (A strict row's boundary faces are
     ``strict_on_eq_points``'s.)
     """
-    hard_neg = ctx.role_mask(Role.HARD, split.neg)
-    soft_pos = ctx.role_mask(Role.SOFT, split.pos)
+    hard_neg = ctx.hard & split.neg
+    soft_pos = ctx.soft & split.pos
     out = enumerate_faces(ctx, _seeds(hard_neg, regions, Region.NEG), soft_pos, split)
     if role is Role.HARD:
         return out
-    hard_pos = ctx.role_mask(Role.HARD, split.pos)
-    soft_neg = ctx.role_mask(Role.SOFT, split.neg)
+    hard_pos = ctx.hard & split.pos
+    soft_neg = ctx.soft & split.neg
     out |= enumerate_faces(ctx, _seeds(hard_pos, regions, Region.POS), soft_neg, split)
     if ctx.producing is Side.CON:
         # Two strict rows on opposite sides that are not adjacent meet in a
@@ -375,7 +367,7 @@ def promote_singletons(ctx: ConvCtx) -> None:
     support contains a promoted element, and none needs dropping."""
     for ns in [ns for ns in ctx.ns if not ns & (ns - 1) and ns & ctx.soft]:
         eid = ns.bit_length() - 1
-        if ctx.producing is Side.GEN and ctx.elems[eid].row[0] == 0:
+        if ctx.producing is Side.GEN and ctx.rows[eid][0] == 0:
             continue
         ctx.set_role(eid, Role.HARD)
         ctx.ns.discard(ns)
@@ -391,25 +383,27 @@ def violating_singular(ctx: ConvCtx, split: _Split, vid: int) -> None:
     step then applies the row's own effect: a sign-free row drops the half,
     a soft row keeps it, a strict row weakens what it saturates.
     """
+    rows = ctx.rows
     sv = split.sps[vid]
-    half = ctx.elems[vid].row if sv > 0 else normalize(tuple(-x for x in ctx.elems[vid].row))
+    half = rows[vid] if sv > 0 else normalize(tuple(-x for x in rows[vid]))
     sl = abs(sv)
-    ctx.elems[vid].row = half
+    rows[vid] = half
     ctx.set_role(vid, Role.SOFT)
     split.sps[vid] = sl
     split.zero |= split.pos | split.neg
     split.pos, split.neg = 1 << vid, 0
 
-    for eid, e in ctx.elems.items():
+    singular = ctx.singular
+    for eid, r in rows.items():
         if eid == vid:
             continue
         se = split.sps[eid]
         if se == 0:
             continue
-        if e.role is Role.SINGULAR:
-            e.row = eliminate(e.row, half, se, sl)
+        if singular >> eid & 1:
+            rows[eid] = eliminate(r, half, se, sl)
         else:
-            e.row = normalize(tuple(sl * a - se * b for a, b in zip(e.row, half)))
+            rows[eid] = normalize(tuple(sl * a - se * b for a, b in zip(r, half)))
         ctx.counters.vec_ops += 1
         split.sps[eid] = 0
 
@@ -419,11 +413,11 @@ def strict_on_eq_points(ctx: ConvCtx, split: _Split, regions: dict[int, Region])
     elements soften, and each face they or the saturated supports span with
     one soft positive element comes back as a fresh support.  The only
     place where a strict row softens what it saturates."""
-    hard_zero = ctx.role_mask(Role.HARD, split.zero)
+    hard_zero = ctx.hard & split.zero
     seeds = _seeds(hard_zero, regions, Region.ZERO)
     for i in bit_indices(hard_zero):
         ctx.set_role(i, Role.SOFT)
-    soft_pos = ctx.role_mask(Role.SOFT, split.pos)
+    soft_pos = ctx.soft & split.pos
     return enumerate_faces(ctx, seeds, soft_pos, split)
 
 
@@ -461,7 +455,7 @@ def _regular(ctx: ConvCtx, role: Role, split: _Split) -> None:
         ctx.drop_elem(eid)
     left = split.cands & ~doomed  # every live non-singular element
     if moved or created:
-        ctx.ns = nonredundant_union(kept, moved, created, hard=ctx.role_mask(Role.HARD, left))
+        ctx.ns = nonredundant_union(kept, moved, created, hard=ctx.hard & left)
     else:
         # kept is part of the incoming family, which is already minimal and
         # free of hard elements, and no existing element turned hard
@@ -488,8 +482,8 @@ def process_row(ctx: ConvCtx, row: Row, role: Role) -> None:
     _regular(ctx, role, split)
     if not ctx.empty:
         promote_singletons(ctx)
-        ctx.sat.add_col([eid for eid in ctx.elems if split.sps[eid] == 0])
-    ctx.counters.sizes.append(len(ctx.elems) + len(ctx.ns))
+        ctx.sat.add_col([eid for eid in ctx.rows if split.sps[eid] == 0])
+    ctx.counters.sizes.append(len(ctx.rows) + len(ctx.ns))
 
 
 def add_constraint(ctx: ConvCtx, c: Constraint) -> None:
@@ -539,8 +533,8 @@ def init_con_ctx(first_point: Generator) -> ConvCtx:
         ctx.add_elem(normalize(tuple(eq), bidirectional=True), Role.SINGULAR)
     pos_id = ctx.add_elem((1,) + (0,) * dim, Role.HARD)
     ctx.counters.iterations += 1
-    ctx.sat.add_col([eid for eid in ctx.elems if eid != pos_id])
-    ctx.counters.sizes.append(len(ctx.elems))
+    ctx.sat.add_col([eid for eid in ctx.rows if eid != pos_id])
+    ctx.counters.sizes.append(len(ctx.rows))
     return ctx
 
 
@@ -613,20 +607,12 @@ def emit_generators(ctx: ConvCtx) -> list[Generator]:
         raise KindError("not a generator-producing context")
     if ctx.empty:
         return []
-    lines: list[Row] = []
-    rays: list[Row] = []
-    cps: list[Row] = []
-    pts: list[Row] = []
-    for eid in sorted(ctx.elems):
-        e = ctx.elems[eid]
-        if e.role is Role.SINGULAR:
-            lines.append(e.row)
-        elif e.role is Role.HARD:
-            pts.append(e.row)
-        elif e.row[0] == 0:
-            rays.append(e.row)
-        else:
-            cps.append(e.row)
+    rows = ctx.rows
+    lines = [rows[i] for i in bit_indices(ctx.singular)]
+    pts = [rows[i] for i in bit_indices(ctx.hard)]
+    soft = [rows[i] for i in bit_indices(ctx.soft)]
+    rays = [r for r in soft if r[0] == 0]
+    cps = [r for r in soft if r[0] != 0]
     for ns in _ordered(ctx.ns):
         filler = materialize_support(ctx, ns)
         if filler[0] <= 0:
@@ -659,14 +645,8 @@ def emit_constraints(ctx: ConvCtx) -> list[Constraint]:
             seen.add(key)
             out.append(Constraint(row, kind))
 
-    for eid in sorted(ctx.elems):
-        e = ctx.elems[eid]
-        if e.role is Role.SINGULAR:
-            push(e.row, ConKind.EQUALITY)
-        elif e.role is Role.SOFT:
-            push(e.row, ConKind.NONSTRICT)
-        else:
-            push(e.row, ConKind.STRICT)
+    for eid in sorted(ctx.rows):
+        push(ctx.rows[eid], ROLE_CON[ctx.role_of(eid)])
     for ns in _ordered(ctx.ns):
         push(materialize_support(ctx, ns), ConKind.STRICT)
     return out
@@ -676,6 +656,6 @@ def atoms(ctx: ConvCtx) -> list[tuple[Row, ...]]:
     """Every hard element alone plus every support's member rows.  On the
     generator side each names a piece whose relative interior the set
     includes; on the constraint side, a face the set omits."""
-    out = [(e.row,) for _, e in sorted(ctx.elems.items()) if e.role is Role.HARD]
+    out = [(ctx.rows[i],) for i in bit_indices(ctx.hard)]
     out += [tuple(ctx.row_of(i) for i in bit_indices(ns)) for ns in _ordered(ctx.ns)]
     return out

@@ -22,14 +22,8 @@ from typing import Sequence
 from .counting import OpCounters
 from .errors import DimensionError, EmptySystem, InvariantError, KindError
 from .homvec import Row, combine_with_products, eliminate, normalize, scalar_prod
-from .satlat import SatMatrix, adjacent_pairs, id_mask
+from .satlat import SatMatrix, adjacent_pairs, bit_indices, id_mask
 from .systems import ConKind, Constraint, GenKind, Generator
-
-
-@dataclass
-class CElem:
-    row: Row
-    line: bool
 
 
 @dataclass
@@ -38,7 +32,8 @@ class ClosedCone:
 
     dim: int
     gen_side: bool
-    elems: dict[int, CElem] = field(default_factory=dict)
+    rows: dict[int, Row] = field(default_factory=dict)
+    lines: int = 0  # the line-like elements, as an id mask
     sat: SatMatrix = field(default_factory=SatMatrix)
     counters: OpCounters = field(default_factory=OpCounters)
     empty: bool = False
@@ -50,17 +45,20 @@ class ClosedCone:
     def add(self, row: Row, line: bool, satrow: int = 0) -> int:
         eid = self.next_id
         self.next_id += 1
-        self.elems[eid] = CElem(row, line)
+        self.rows[eid] = row
+        self.lines |= line << eid
         self.sat.new_row(eid, satrow)
         return eid
 
     def drop(self, eid: int) -> None:
-        del self.elems[eid]
+        del self.rows[eid]
+        self.lines &= ~(1 << eid)
         self.sat.drop_row(eid)
 
     def set_empty(self) -> None:
         self.empty = True
-        self.elems.clear()
+        self.rows.clear()
+        self.lines = 0
         self.sat.clear()
 
 
@@ -88,8 +86,8 @@ def closed_point_base(point_row: Row) -> ClosedCone:
         cone.add(normalize(tuple(eq), bidirectional=True), True)
     pos_id = cone.add((1,) + (0,) * dim, False)
     cone.counters.iterations += 1
-    cone.sat.add_col([eid for eid in cone.elems if eid != pos_id])
-    cone.counters.sizes.append(len(cone.elems))
+    cone.sat.add_col([eid for eid in cone.rows if eid != pos_id])
+    cone.counters.sizes.append(len(cone.rows))
     return cone
 
 
@@ -103,53 +101,48 @@ def closed_add_row(cone: ClosedCone, row: Row, line: bool) -> None:
         cone.counters.sizes.append(0)
         return
 
+    rows, lines = cone.rows, cone.lines
     sps: dict[int, int] = {}
-    for eid, e in cone.elems.items():
-        sps[eid] = scalar_prod(row, e.row)
+    for eid, r in rows.items():
+        sps[eid] = scalar_prod(row, r)
         cone.counters.vec_ops += 1
 
-    vid = next(
-        (eid for eid in sorted(cone.elems) if cone.elems[eid].line and sps[eid] != 0),
-        None,
-    )
+    vid = next((eid for eid in bit_indices(lines) if sps[eid] != 0), None)
     if vid is not None:
         sv = sps[vid]
-        half = (
-            cone.elems[vid].row
-            if sv > 0
-            else normalize(tuple(-x for x in cone.elems[vid].row))
-        )
+        half = rows[vid] if sv > 0 else normalize(tuple(-x for x in rows[vid]))
         sl = abs(sv)
-        cone.elems[vid].row = half
-        cone.elems[vid].line = False
+        rows[vid] = half
         sps[vid] = sl
-        for eid, e in cone.elems.items():
+        for eid, r in rows.items():
             if eid == vid or sps[eid] == 0:
                 continue
             se = sps[eid]
-            if e.line:
-                e.row = eliminate(e.row, half, se, sl)
+            if lines >> eid & 1:
+                rows[eid] = eliminate(r, half, se, sl)
             else:
-                e.row = normalize(tuple(sl * a - se * b for a, b in zip(e.row, half)))
+                rows[eid] = normalize(tuple(sl * a - se * b for a, b in zip(r, half)))
             cone.counters.vec_ops += 1
             sps[eid] = 0
-        if line:
+        if line:  # a sign-free row keeps neither half
             del sps[vid]
             cone.drop(vid)
+        else:  # the half the row keeps is a ray
+            cone.lines ^= 1 << vid
     else:
-        pos = sorted(eid for eid, e in cone.elems.items() if not e.line and sps[eid] > 0)
-        neg = sorted(eid for eid, e in cone.elems.items() if not e.line and sps[eid] < 0)
+        # no line breaks the row, so every nonzero product is a ray's; sps
+        # follows rows, whose keys were inserted in ascending id order
+        pos = [eid for eid, s in sps.items() if s > 0]
+        neg = [eid for eid, s in sps.items() if s < 0]
         if pos or neg:
-            witnesses = id_mask(eid for eid, e in cone.elems.items() if not e.line)
+            witnesses = id_mask(rows) & ~lines
             # Rank quick-reject (Fukuda & Prodon 1996), as in PPL: adjacent
             # rays share at least rank - 2 = (dim + 1 - #lines) - 2 saturated
             # rows, so a pair sharing fewer skips the closure.
-            need = cone.dim - 1 - sum(e.line for e in cone.elems.values())
+            need = cone.dim - 1 - lines.bit_count()
             found = 0
             for p, m in adjacent_pairs(cone.sat, pos, neg, witnesses, need):
-                combined = combine_with_products(
-                    cone.elems[p].row, cone.elems[m].row, sps[p], sps[m]
-                )
+                combined = combine_with_products(rows[p], rows[m], sps[p], sps[m])
                 eid = cone.add(combined, False, cone.sat.and_rows((p, m)))
                 sps[eid] = 0
                 found += 1
@@ -158,18 +151,17 @@ def closed_add_row(cone: ClosedCone, row: Row, line: bool) -> None:
             counters.vec_ops += found
             counters.pairs_offered += len(pos) * len(neg)
             counters.pairs_adjacent += found
-            doomed = set(neg) | (set(pos) if line else set())
-            for eid in doomed:
+            for eid in neg + pos if line else neg:
                 cone.drop(eid)
-            if not any(not e.line for e in cone.elems.values()):
+            if len(rows) == cone.lines.bit_count():
                 if not cone.gen_side:
                     raise InvariantError("closed cone lost every inequality row")
                 cone.set_empty()
                 cone.counters.sizes.append(0)
                 return
 
-    cone.sat.add_col([eid for eid in cone.elems if sps.get(eid, 0) == 0])
-    cone.counters.sizes.append(len(cone.elems))
+    cone.sat.add_col([eid for eid in rows if sps.get(eid, 0) == 0])
+    cone.counters.sizes.append(len(rows))
 
 
 def closed_c2g(constraints: Sequence[Constraint], *, dim: int | None = None) -> ClosedCone:
@@ -207,14 +199,14 @@ def closed_generators(cone: ClosedCone) -> list[Generator]:
     if cone.empty:
         return []
     out = []
-    for eid in sorted(cone.elems):
-        e = cone.elems[eid]
-        if e.line:
-            out.append(Generator(e.row, GenKind.LINE))
-        elif e.row[0] == 0:
-            out.append(Generator(e.row, GenKind.RAY))
+    for eid in sorted(cone.rows):
+        r = cone.rows[eid]
+        if cone.lines >> eid & 1:
+            out.append(Generator(r, GenKind.LINE))
+        elif r[0] == 0:
+            out.append(Generator(r, GenKind.RAY))
         else:
-            out.append(Generator(e.row, GenKind.POINT))
+            out.append(Generator(r, GenKind.POINT))
     if not any(g.kind is GenKind.POINT for g in out):
         return []
     return out
@@ -224,11 +216,11 @@ def closed_constraints(cone: ClosedCone) -> list[Constraint]:
     if cone.gen_side:
         raise KindError("cone holds generators, not constraints")
     out = []
-    for eid in sorted(cone.elems):
-        e = cone.elems[eid]
-        if not e.line and e.row[0] > 0 and all(a == 0 for a in e.row[1:]):
+    for eid in sorted(cone.rows):
+        r, line = cone.rows[eid], cone.lines >> eid & 1
+        if not line and r[0] > 0 and all(a == 0 for a in r[1:]):
             continue  # positivity is implicit outside the cone view
-        out.append(Constraint(e.row, ConKind.EQUALITY if e.line else ConKind.NONSTRICT))
+        out.append(Constraint(r, ConKind.EQUALITY if line else ConKind.NONSTRICT))
     return out
 
 
@@ -249,11 +241,10 @@ def minimal_cone_rows(
     for r in rest:
         closed_add_row(cone, r, False)
     back = closed_universe(width - 1)
-    for eid in sorted(cone.elems):
-        e = cone.elems[eid]
-        closed_add_row(back, e.row, e.line)
-    min_lines = [e.row for e in back.elems.values() if e.line]
-    min_rays = [e.row for e in back.elems.values() if not e.line]
+    for eid in sorted(cone.rows):
+        closed_add_row(back, cone.rows[eid], bool(cone.lines >> eid & 1))
+    min_lines = [back.rows[i] for i in bit_indices(back.lines)]
+    min_rays = [r for i, r in back.rows.items() if not back.lines >> i & 1]
     return min_lines, min_rays
 
 

@@ -31,7 +31,7 @@ from nncpoly.conversion import (
 from nncpoly.eps import closed_c2g, closed_generators, eps_c2g
 from nncpoly.polyhedron import NncPolyhedron
 from nncpoly.oracle import alpha, face_supports, gamma_contains
-from nncpoly.satlat import id_mask, mask_ids, minimal_family
+from nncpoly.satlat import mask_ids, minimal_family
 from nncpoly.systems import ConKind, Constraint, GenKind, Generator
 
 
@@ -112,13 +112,13 @@ def test_criterion_1_worked_examples():
     ctx = _square_ctx([{0, 3}])
     process_row(ctx, (1, 0, -1), Role.HARD)
     check("move across strict cut", supports(ctx), {fs({0, 4})})
-    check("moved combination", ctx.elems[4].row, (1, 0, 1))
+    check("moved combination", ctx.rows[4], (1, 0, 1))
 
     # (c) the same cut made nonstrict leaves a singleton that promotes
     ctx = _square_ctx([{0, 3}])
     process_row(ctx, (1, 0, -1), Role.SOFT)
     check("promotion emptied the family", supports(ctx), set())
-    check("promoted element role", ctx.elems[4].role, Role.HARD)
+    check("promoted element role", ctx.role_of(4), Role.HARD)
 
     # (d) a support entirely beyond a strict cut is recreated from the
     # surviving side
@@ -142,7 +142,7 @@ def test_criterion_1_worked_examples():
     )
     process_row(ctx, (1, 0, -1), Role.SOFT)
     check("create across nonstrict cut", supports(ctx), {fs({0, 2})})
-    check("surviving elements", set(ctx.elems), {0, 2, 3})
+    check("surviving elements", set(ctx.rows), {0, 2, 3})
 
     _verdict("1 worked-examples", 1.0, start, failures)
 
@@ -285,8 +285,8 @@ def test_criterion_7_incrementality():
 
 
 def _support_discipline(ctx: ConvCtx, where: str, failures: list[str]) -> None:
-    live = set(ctx.elems)
-    hard = mask_ids(ctx.role_mask(Role.HARD, id_mask(ctx.elems)))
+    live = set(ctx.rows)
+    hard = mask_ids(ctx.hard)
     supports = [mask_ids(ns) for ns in ctx.ns]
     for ns in supports:
         if len(ns) < 2:
@@ -316,7 +316,7 @@ def test_criterion_8_non_redundancy():
         # skeleton minimality: dropping any element changes the set
         if dim <= 3 and gens:
             poly = NncPolyhedron.from_generators(gens)
-            for eid in list(ctx.elems):
+            for eid in list(ctx.rows):
                 cut = ctx.clone()
                 cut.drop_elem(eid)
                 cut.ns = {s for s in cut.ns if not s >> eid & 1}

@@ -48,8 +48,9 @@ def test_bench_report_shape():
     # one combination); the eps route offers every pair, quick test or not
     assert (rep["new"]["pairs_offered"], rep["new"]["pairs_adjacent"]) == (83, 63)
     assert (rep["eps"]["pairs_offered"], rep["eps"]["pairs_adjacent"]) == (666, 201)
-    # face closures of the direct engine: tried, walked (the step cache
-    # missed) and kept (not dropped at birth); the eps route closes none
+    # face closures of the direct engine: tried, walked (first seen in the
+    # step: a repeated mask is skipped and charged as walked) and kept (not
+    # dropped at birth); the eps route closes none
     faces = ("faces_tried", "faces_walked", "faces_kept")
     assert tuple(rep["new"][k] for k in faces) == (34, 34, 15)
     assert not set(faces) & set(rep["eps"])

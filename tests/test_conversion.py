@@ -57,21 +57,21 @@ def test_move_support_across_nonstrict_cut():
     ctx = square_ctx([{0, 3}])
     process_row(ctx, (1, 0, -1), Role.SOFT)
     assert ctx.ns == set()
-    assert {i: e.row for i, e in ctx.elems.items()} == {
+    assert ctx.rows == {
         0: (1, 0, 0),
         1: (1, 2, 0),
         4: (1, 0, 1),
         5: (1, 2, 1),
     }
-    assert ctx.elems[4].role is Role.HARD
-    assert ctx.elems[5].role is Role.SOFT
+    assert ctx.role_of(4) is Role.HARD
+    assert ctx.role_of(5) is Role.SOFT
 
 
 def test_move_support_across_strict_cut():
     ctx = square_ctx([{0, 3}])
     process_row(ctx, (1, 0, -1), Role.HARD)
     assert supports(ctx) == {frozenset({0, 4})}
-    assert ctx.elems[4].row == (1, 0, 1)
+    assert ctx.rows[4] == (1, 0, 1)
 
 
 def test_create_support_from_doomed_side_nonstrict():
@@ -80,8 +80,8 @@ def test_create_support_from_doomed_side_nonstrict():
     ctx = square_ctx([{2, 3}])
     process_row(ctx, (1, 0, -1), Role.SOFT)
     assert supports(ctx) == {frozenset({4, 5})}
-    assert ctx.elems[4].row == (1, 0, 1)
-    assert ctx.elems[5].row == (1, 2, 1)
+    assert ctx.rows[4] == (1, 0, 1)
+    assert ctx.rows[5] == (1, 2, 1)
 
 
 def test_create_support_from_doomed_side_strict():
@@ -110,7 +110,7 @@ def test_create_support_seeded_by_skeleton_point():
     )
     process_row(ctx, (1, 0, -1), Role.SOFT)
     assert supports(ctx) == {frozenset({0, 2})}
-    assert {i: (e.row, e.role) for i, e in sorted(ctx.elems.items())} == {
+    assert {i: (r, ctx.role_of(i)) for i, r in sorted(ctx.rows.items())} == {
         0: ((1, 0, 1), Role.SOFT),
         2: ((1, 2, 1), Role.SOFT),
         3: ((1, 1, 0), Role.HARD),
@@ -133,8 +133,8 @@ def test_equality_cut_rebuilds_positive_side_supports():
     )
     process_row(ctx, (0, 1, 0), Role.SINGULAR)
     assert supports(ctx) == {frozenset({3, 4})}
-    assert ctx.elems[3].row == (2, 0, 1)
-    assert ctx.elems[4].row == (2, 0, 3)
+    assert ctx.rows[3] == (2, 0, 1)
+    assert ctx.rows[4] == (2, 0, 3)
 
 
 def test_promote_singleton_folds_into_skeleton():
@@ -142,7 +142,7 @@ def test_promote_singleton_folds_into_skeleton():
     # the support disjoint from it stays
     ctx = square_ctx([{0}, {1, 2}])
     promote_singletons(ctx)
-    assert ctx.elems[0].role is Role.HARD
+    assert ctx.role_of(0) is Role.HARD
     assert supports(ctx) == {frozenset({1, 2})}
 
 
@@ -155,7 +155,7 @@ def test_rays_never_promote_on_generator_side():
         ns=[{1}],
     )
     promote_singletons(ctx)
-    assert ctx.elems[1].role is Role.SOFT
+    assert ctx.role_of(1) is Role.SOFT
     assert supports(ctx) == {frozenset({1})}
 
 
@@ -270,7 +270,7 @@ def spy_hard_extensions(monkeypatch):
         return process_row(ctx, row, role)
 
     def spy(ctx, seeds, extensions, split):
-        hard = any(ctx.elems[e].role is Role.HARD for e in bit_indices(extensions))
+        hard = any(ctx.role_of(e) is Role.HARD for e in bit_indices(extensions))
         seen.append((roles[-1], hard))
         return enumerate_faces(ctx, seeds, extensions, split)
 
@@ -426,12 +426,13 @@ def test_every_step_leaves_a_minimal_soft_family(monkeypatch):
         step(ctx, row, role)
         steps += 1
         assert ctx.ns == minimal_family(ctx.ns)
-        hard = ctx.role_mask(Role.HARD, id_mask(ctx.elems))
-        assert not any(ns & hard for ns in ctx.ns)
-        # the role masks follow every role change, drop and promotion
-        held = {Role.SINGULAR: ctx.singular, Role.SOFT: ctx.soft, Role.HARD: ctx.hard}
-        for role, mask in held.items():
-            assert mask == id_mask(e for e, el in ctx.elems.items() if el.role is role), role
+        assert not any(ns & ctx.hard for ns in ctx.ns)
+        # the role masks are the one record of roles: every live element
+        # has exactly one, and no dropped element keeps one
+        assert not ctx.singular & ctx.soft
+        assert not ctx.singular & ctx.hard
+        assert not ctx.soft & ctx.hard
+        assert ctx.singular | ctx.soft | ctx.hard == id_mask(ctx.rows)
 
     monkeypatch.setattr(conversion, "process_row", checked)
     for dim, rows in nnc_corpus() + wide_corpus():
@@ -474,7 +475,7 @@ def test_wide_systems_match_the_eps_route():
 def test_wide_g2c_counters_are_pinned():
     # exact work of one dim-6 g2c past the bench's dim 3, so a charge that
     # moves only on wider input still fails here; the counters model the
-    # walks in full, so cached closures leave them alone
+    # walks in full: a repeated mask is skipped and charged as walked
     dim, rows = wide_corpus()[10]
     assert dim == 6
     ctx = conversion_g2c(emit_generators(conversion_c2g(rows, dim=dim)))

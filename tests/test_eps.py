@@ -10,10 +10,11 @@ import random
 
 import pytest
 
+from corpus import nnc_corpus
 from nncpoly import eps, oracle
 from nncpoly.errors import EmptySystem, KindError
 from nncpoly.homvec import combine_with_products, scalar_prod
-from nncpoly.satlat import adjacent, id_mask
+from nncpoly.satlat import adjacent, bit_indices, id_mask
 from nncpoly.systems import ConKind, Constraint, GenKind, Generator
 
 
@@ -227,11 +228,11 @@ def test_rank_quick_reject_drops_no_adjacent_pair(monkeypatch, seed):
 
     def reference_scan(cone, row, line):
         nonlocal rejected
-        sps = {eid: scalar_prod(row, e.row) for eid, e in cone.elems.items()}
-        lines = [eid for eid, e in cone.elems.items() if e.line]
+        sps = {eid: scalar_prod(row, r) for eid, r in cone.rows.items()}
+        lines = list(bit_indices(cone.lines))
         if cone.empty or any(sps[eid] for eid in lines):
             return step(cone, row, line)  # no pair loop on this step
-        rays = [eid for eid in sorted(cone.elems) if eid not in lines]
+        rays = [eid for eid in sorted(cone.rows) if eid not in lines]
         pos = [eid for eid in rays if sps[eid] > 0]
         neg = [eid for eid in rays if sps[eid] < 0]
         need = cone.dim - 1 - len(lines)
@@ -241,12 +242,12 @@ def test_rank_quick_reject_drops_no_adjacent_pair(monkeypatch, seed):
             assert (bits[p] & bits[m]).bit_count() >= need
         rejected += sum((bits[p] & bits[m]).bit_count() < need for p in pos for m in neg)
         want = [
-            combine_with_products(cone.elems[p].row, cone.elems[m].row, sps[p], sps[m])
+            combine_with_products(cone.rows[p], cone.rows[m], sps[p], sps[m])
             for p, m in pairs
         ]
         first = cone.next_id
         step(cone, row, line)
-        assert [cone.elems[eid].row for eid in range(first, cone.next_id)] == want
+        assert [cone.rows[eid] for eid in range(first, cone.next_id)] == want
 
     monkeypatch.setattr(eps, "closed_add_row", reference_scan)
     rng = random.Random(seed)
@@ -256,3 +257,29 @@ def test_rank_quick_reject_drops_no_adjacent_pair(monkeypatch, seed):
         if gens:
             eps.closed_g2c(gens)
     assert rejected > 0
+
+
+def test_every_step_keeps_lines_among_live_rows(monkeypatch):
+    # the lines mask is the one record of which elements are line-like, so
+    # no step may leave a bit there for an element it dropped
+    step = eps.closed_add_row
+    steps = 0
+
+    def checked(cone, row, line):
+        nonlocal steps
+        step(cone, row, line)
+        steps += 1
+        assert not cone.lines & ~id_mask(cone.rows)
+
+    monkeypatch.setattr(eps, "closed_add_row", checked)
+    rng = random.Random(7)
+    for dim in (2, 3, 4):
+        for _ in range(4):
+            gens = eps.closed_generators(eps.closed_c2g(random_closed_system(rng, dim)))
+            if gens:
+                eps.closed_g2c(gens)
+    for dim, rows in nnc_corpus(40):
+        gens, _ = eps.eps_c2g(rows)
+        if gens:
+            eps.eps_g2c(gens)
+    assert steps > 500

@@ -6,8 +6,8 @@ independent eps route, and no module may hide an import inside a function
 benchmark tracer times must still exist under its name, the engine keeps
 supports in one representation, int id masks, both engines run their
 pair loops through one adjacency kernel, the direct engine closes every
-face through one helper, and every closure walks its columns through one
-function.
+face through one helper, every closure walks its columns through one
+function, and neither engine keeps a record object per element.
 """
 
 import ast
@@ -142,6 +142,24 @@ def test_one_column_walk():
     # copy anywhere in the library could drift from it
     walks = {(path.stem, fn) for path in MODULES for fn in _column_walks(_tree(path))}
     assert walks == {("satlat", "walk")}
+
+
+@pytest.mark.parametrize("name", ["conversion", "eps"])
+def test_elements_have_no_record_class(name):
+    # an element is its row in one id -> row dict and its bit in the role
+    # (or lines) masks; a record per element would hold its role a second
+    # time, beside the masks
+    tree = _tree(SRC / f"{name}.py")
+    records = {
+        cls.name
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for n in cls.body
+        if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name) and n.target.id == "row"
+    }
+    assert not records, f"{name}.py defines per-element records {sorted(records)}"
+    reads = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)} & {"role", "line"}
+    assert not reads, f"{name}.py reads element attributes {sorted(reads)}"
 
 
 def test_traced_phases_exist():

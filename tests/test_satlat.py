@@ -175,17 +175,24 @@ def test_clone_leaves_parent_columns_alone():
         [Generator((1, 0, 0), GenKind.POINT), Generator((1, 2, 0), GenKind.CLOSURE_POINT)]
     )
     before = (dict(parent.sat.bits), list(parent.sat.cols), parent.sat.ncols)
-    roles = ({i: e.role for i, e in parent.elems.items()}, parent.singular, parent.soft, parent.hard)
+    rows = dict(parent.rows)
+    roles = (parent.singular, parent.soft, parent.hard)
     child = parent.clone()
-    # a role change on the clone moves its masks and its element alone
+    # a role change on the clone moves its masks alone
     hard = next(bit_indices(child.hard))
     child.set_role(hard, Role.SOFT)
-    assert child.elems[hard].role is Role.SOFT and child.soft >> hard & 1
+    assert child.role_of(hard) is Role.SOFT and not child.hard >> hard & 1
+    # the point (1, 2) breaks the equality y = 0: violating_singular pivots
+    # it and writes the rewritten rows into the clone's dict
+    (line,) = bit_indices(parent.singular)
     process_row(child, (1, 1, 2), Role.HARD)
+    assert child.role_of(line) is Role.SOFT
+    assert any(child.rows[i] != r for i, r in rows.items() if i in child.rows)
     process_row(child, (1, 0, 1), Role.SOFT)
     child.set_empty()
     assert (dict(parent.sat.bits), list(parent.sat.cols), parent.sat.ncols) == before
-    assert ({i: e.role for i, e in parent.elems.items()}, parent.singular, parent.soft, parent.hard) == roles
+    assert parent.rows == rows
+    assert (parent.singular, parent.soft, parent.hard) == roles
 
 
 def random_state(rng: random.Random) -> tuple[SatMatrix, list[int]]:
