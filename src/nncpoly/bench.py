@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from itertools import product
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import eps
 from .conversion import conversion_c2g, conversion_g2c, emit_constraints, emit_generators
@@ -49,32 +49,25 @@ def build_dual_hypercube(
     return out
 
 
-def _workload_direct(variants: Sequence[list[Constraint]]):
-    ctxs = [conversion_c2g(v) for v in variants]
-    gens = [emit_generators(ctx) for ctx in ctxs]
-    h1 = conversion_g2c(gens[0] + gens[1])
-    h2 = conversion_g2c(gens[2] + gens[3])
-    r_ctx = conversion_c2g(emit_constraints(h1) + emit_constraints(h2))
-    r_back = conversion_g2c(emit_generators(r_ctx))
-    return ctxs + [h1, h2, r_ctx, r_back]
+def _direct_c2g(constraints: list[Constraint]):
+    ctx = conversion_c2g(constraints)
+    return emit_generators(ctx), ctx
 
 
-def _workload_eps(variants: Sequence[list[Constraint]]):
-    cones = []
-    gens: list[list[Generator]] = []
-    for v in variants:
-        g, cone = eps.eps_c2g(v)
-        gens.append(g)
-        cones.append(cone)
-    h1_cons, cone = eps.eps_g2c(gens[0] + gens[1])
-    cones.append(cone)
-    h2_cons, cone = eps.eps_g2c(gens[2] + gens[3])
-    cones.append(cone)
-    r_gens, cone = eps.eps_c2g(h1_cons + h2_cons)
-    cones.append(cone)
-    _, cone = eps.eps_g2c(r_gens)
-    cones.append(cone)
-    return cones
+def _direct_g2c(generators: list[Generator]):
+    ctx = conversion_g2c(generators)
+    return emit_constraints(ctx), ctx
+
+
+def _program(c2g: Callable, g2c: Callable, variants: Sequence[list[Constraint]]) -> list:
+    """Hull two pairs of variants, intersect the hulls and convert the
+    result back, through one route's functions from rows to ``(output,
+    state)``.  Returns the state of every conversion in the order run."""
+    runs = [c2g(v) for v in variants]
+    runs += [g2c(runs[0][0] + runs[1][0]), g2c(runs[2][0] + runs[3][0])]
+    runs.append(c2g(runs[4][0] + runs[5][0]))
+    runs.append(g2c(runs[6][0]))
+    return [state for _out, state in runs]
 
 
 SUMMED = ("vec_ops", "sat_ops", "pairs_offered", "pairs_adjacent")
@@ -100,10 +93,10 @@ def bench_dual_hypercube(dim: int) -> dict:
         for pattern in ("poles", "first")
     ]
     started = time.perf_counter()
-    direct = _workload_direct(variants)
+    direct = _program(_direct_c2g, _direct_g2c, variants)
     direct_s = time.perf_counter() - started
     started = time.perf_counter()
-    encoded = _workload_eps(variants)
+    encoded = _program(eps.eps_c2g, eps.eps_g2c, variants)
     eps_s = time.perf_counter() - started
     return {
         "workload": "dualhypercube",

@@ -103,7 +103,6 @@ class ConvCtx:
     sat: SatMatrix = field(default_factory=SatMatrix)
     ns: set[int] = field(default_factory=set)  # supports, as id masks
     counters: OpCounters = field(default_factory=OpCounters)
-    empty: bool = False
     next_id: int = 0
     # the live elements of each role, as id masks: the one record of roles
     singular: int = 0
@@ -157,7 +156,9 @@ class ConvCtx:
             raise StaleIdError(f"element {eid} is gone") from None
 
     def set_empty(self) -> None:
-        self.empty = True
+        """Drop every element.  A context without rows denotes the empty
+        set, but not every empty set drops its rows: a closure point can
+        outlive the last point."""
         self.rows.clear()
         self.singular = self.soft = self.hard = 0
         self.ns.clear()
@@ -165,21 +166,9 @@ class ConvCtx:
 
     def clone(self) -> "ConvCtx":
         counters = replace(self.counters, sizes=list(self.counters.sizes))
+        # rows are tuples, replaced and never changed; the masks are ints
         sat = self.sat.copy(counters)
-        out = ConvCtx(
-            dim=self.dim,
-            producing=self.producing,
-            rows=dict(self.rows),  # rows are tuples, replaced and never changed
-            sat=sat,
-            ns=set(self.ns),
-            counters=counters,
-            empty=self.empty,
-            next_id=self.next_id,
-            singular=self.singular,
-            soft=self.soft,
-            hard=self.hard,
-        )
-        return out
+        return replace(self, rows=dict(self.rows), sat=sat, ns=set(self.ns), counters=counters)
 
     @classmethod
     def build(
@@ -473,14 +462,14 @@ def process_row(ctx: ConvCtx, row: Row, role: Role) -> None:
     if len(row) != ctx.dim + 1:
         raise DimensionError(f"row has {len(row) - 1} coordinates, context has {ctx.dim}")
     ctx.counters.iterations += 1
-    if ctx.empty:
+    if not ctx.rows:
         ctx.counters.sizes.append(0)
         return
     split = partition_elems(ctx, row)
     if split.violated is not None:
         violating_singular(ctx, split, split.violated)
     _regular(ctx, role, split)
-    if not ctx.empty:
+    if ctx.rows:
         promote_singletons(ctx)
         ctx.sat.add_col([eid for eid in ctx.rows if split.sps[eid] == 0])
     ctx.counters.sizes.append(len(ctx.rows) + len(ctx.ns))
@@ -579,6 +568,18 @@ def conversion_g2c(
     return ctx
 
 
+def close_generators(ctx: ConvCtx) -> ConvCtx:
+    """Topological closure of a nonempty generator-side context, by a role
+    change alone: closure points turn hard, rays stay soft, and the
+    supports go, as every face one filled is closed now."""
+    out = ctx.clone()
+    for eid in bit_indices(out.soft):
+        if out.rows[eid][0] != 0:
+            out.set_role(eid, Role.HARD)
+    out.ns = set()
+    return out
+
+
 # -- reading results out ------------------------------------------------
 
 
@@ -605,8 +606,6 @@ def emit_generators(ctx: ConvCtx) -> list[Generator]:
     without any point denotes the empty set and comes back empty."""
     if ctx.producing is not Side.GEN:
         raise KindError("not a generator-producing context")
-    if ctx.empty:
-        return []
     rows = ctx.rows
     lines = [rows[i] for i in bit_indices(ctx.singular)]
     pts = [rows[i] for i in bit_indices(ctx.hard)]

@@ -36,7 +36,6 @@ class ClosedCone:
     lines: int = 0  # the line-like elements, as an id mask
     sat: SatMatrix = field(default_factory=SatMatrix)
     counters: OpCounters = field(default_factory=OpCounters)
-    empty: bool = False
     next_id: int = 0
 
     def __post_init__(self):
@@ -56,7 +55,7 @@ class ClosedCone:
         self.sat.drop_row(eid)
 
     def set_empty(self) -> None:
-        self.empty = True
+        """Drop every element: a cone without rows is the empty set."""
         self.rows.clear()
         self.lines = 0
         self.sat.clear()
@@ -97,7 +96,7 @@ def closed_add_row(cone: ClosedCone, row: Row, line: bool) -> None:
     if len(row) != cone.dim + 1:
         raise DimensionError(f"row has {len(row) - 1} coordinates, cone has {cone.dim}")
     cone.counters.iterations += 1
-    if cone.empty:
+    if not cone.rows:
         cone.counters.sizes.append(0)
         return
 
@@ -196,8 +195,6 @@ def closed_g2c(generators: Sequence[Generator]) -> ClosedCone:
 def closed_generators(cone: ClosedCone) -> list[Generator]:
     if not cone.gen_side:
         raise KindError("cone holds constraints, not generators")
-    if cone.empty:
-        return []
     out = []
     for eid in sorted(cone.rows):
         r = cone.rows[eid]
@@ -274,6 +271,9 @@ def eps_decode_constraints(cs: Sequence[Constraint]) -> list[Constraint]:
         e = c.row[-1]
         body = c.row[:-1]
         if all(a == 0 for a in body[1:]):
+            if c.kind is ConKind.EQUALITY and e != 0:
+                # every generator sits at slack 0: there was no point
+                return [Constraint((-1,) + (0,) * (len(body) - 1), ConKind.NONSTRICT)]
             continue  # slack bound (or tautology): no geometric content
         if e == 0:
             out.append(Constraint(body, c.kind))

@@ -18,12 +18,13 @@ from .conversion import (
     ConvCtx,
     Side,
     atoms,
+    close_generators,
     conversion_c2g,
     conversion_g2c,
     emit_constraints,
     emit_generators,
 )
-from .errors import DimensionError, EmptySystem, InvariantError
+from .errors import DimensionError, EmptySystem
 from .homvec import scalar_prod
 from .systems import ConKind, Constraint, GenKind, Generator, con_contains
 
@@ -82,9 +83,7 @@ class NncPolyhedron:
 
     @classmethod
     def empty(cls, dim: int) -> "NncPolyhedron":
-        ctx = ConvCtx(dim=dim, producing=Side.GEN)
-        ctx.set_empty()
-        return cls(dim, gen_ctx=ctx)
+        return cls(dim, gen_ctx=ConvCtx(dim=dim, producing=Side.GEN))
 
     # -- the two sides -----------------------------------------------------
 
@@ -160,12 +159,7 @@ class NncPolyhedron:
                         return False
                 elif s < 0:
                     return False
-        con = self.con_ctx()
-        if con is None:
-            return False
-        excluded = atoms(con)
-        if not excluded:
-            return True
+        excluded = atoms(self.con_ctx())
         for piece in atoms(other.gen_ctx()):
             for ghost in excluded:
                 if all(scalar_prod(c, a) == 0 for c in ghost for a in piece):
@@ -189,10 +183,7 @@ class NncPolyhedron:
             if not any(g.kind is GenKind.POINT for g in gens):
                 return NncPolyhedron.empty(self.dim)
             return NncPolyhedron.from_generators(gens)
-        ctx = self.con_ctx()
-        if ctx is None:
-            raise InvariantError("a nonempty polyhedron has no constraint side")
-        return NncPolyhedron(self.dim, con_ctx=conversion_g2c(gens, base=ctx))
+        return NncPolyhedron(self.dim, con_ctx=conversion_g2c(gens, base=self.con_ctx()))
 
     def intersect(self, other: "NncPolyhedron") -> "NncPolyhedron":
         if self.dim != other.dim:
@@ -211,15 +202,12 @@ class NncPolyhedron:
         return self.add_generators(other._generator_view())
 
     def closure(self) -> "NncPolyhedron":
-        """Topological closure: the same skeleton with every position row
-        promoted to an actual point."""
+        """Topological closure: a role change on the generator side, with no
+        conversion.  An empty set may keep a closure point in its context,
+        so emptiness is ruled out first."""
         if self.is_empty():
             return NncPolyhedron.empty(self.dim)
-        closed = [
-            Generator(g.row, GenKind.POINT) if g.kind is GenKind.CLOSURE_POINT else g
-            for g in self._generator_view()
-        ]
-        return NncPolyhedron.from_generators(closed)
+        return NncPolyhedron(self.dim, gen_ctx=close_generators(self.gen_ctx()))
 
     def __repr__(self) -> str:
         if self.is_empty():

@@ -93,6 +93,21 @@ def test_check_v_side_with_oracle(tmp_path, capsys):
     assert "oracle(eps): PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "V-representation\nclosure 1 1\nbegin\n 1 2 integer\n 1 1\nend\n",
+        "V-representation\nclosure 1 1\nbegin\n 2 3 integer\n 1 1 2\n 0 1 -1\nend\n",
+    ],
+    ids=["closure-point", "closure-point-and-ray"],
+)
+def test_check_oracle_on_a_v_file_without_points(tmp_path, capsys, text):
+    # the set is empty, and the slack route must say so too
+    src = write(tmp_path, "nopoint.ext", text)
+    assert main(["check", src, "--oracle", "eps"]) == 0
+    assert "oracle(eps): PASS" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("name, text", [("box.ine", BOX_INE), ("seg.ext", SEG_EXT)], ids=["H", "V"])
 def test_check_parses_its_input_once(tmp_path, monkeypatch, capsys, name, text):
     parsed = []

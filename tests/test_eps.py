@@ -98,6 +98,27 @@ def test_decode_rejects_rows_that_lean_on_the_slack():
         eps.eps_decode_generators([Generator((0, 1, 1), GenKind.RAY)])
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_point_free_generators_decode_to_the_empty_set(seed):
+    # every encoded generator sits at slack 0, so the closed cone holds the
+    # equality slack = 0, which no point with a positive slack satisfies
+    rng = random.Random(seed)
+    for _ in range(20):
+        dim = rng.randint(1, 4)
+        gens = [
+            Generator(
+                tuple([rng.randint(1, 3)] + [rng.randint(-3, 3) for _ in range(dim)]),
+                GenKind.CLOSURE_POINT,
+            )
+            for _ in range(rng.randint(1, dim + 2))
+        ]
+        ray = [rng.randint(-3, 3) for _ in range(dim)]
+        if any(ray) and rng.random() < 0.5:
+            gens.append(Generator(tuple([0] + ray), GenKind.RAY))
+        cons, _ = eps.eps_g2c(gens)
+        assert [(c.row, c.kind) for c in cons] == [((-1,) + (0,) * dim, ConKind.NONSTRICT)]
+
+
 def test_encode_generators_points_carry_a_shadow():
     enc = eps.eps_encode_generators(
         [
@@ -230,7 +251,7 @@ def test_rank_quick_reject_drops_no_adjacent_pair(monkeypatch, seed):
         nonlocal rejected
         sps = {eid: scalar_prod(row, r) for eid, r in cone.rows.items()}
         lines = list(bit_indices(cone.lines))
-        if cone.empty or any(sps[eid] for eid in lines):
+        if not cone.rows or any(sps[eid] for eid in lines):
             return step(cone, row, line)  # no pair loop on this step
         rays = [eid for eid in sorted(cone.rows) if eid not in lines]
         pos = [eid for eid in rays if sps[eid] > 0]

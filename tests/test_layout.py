@@ -11,6 +11,7 @@ function, and neither engine keeps a record object per element.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
@@ -160,6 +161,14 @@ def test_elements_have_no_record_class(name):
     assert not records, f"{name}.py defines per-element records {sorted(records)}"
     reads = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)} & {"role", "line"}
     assert not reads, f"{name}.py reads element attributes {sorted(reads)}"
+
+
+@pytest.mark.parametrize("module, name", [("conversion", "ConvCtx"), ("eps", "ClosedCone")])
+def test_emptiness_is_no_rows(module, name):
+    # an engine state is empty exactly when it holds no rows; a flag beside
+    # them would record the same fact twice
+    cls = getattr(importlib.import_module(f"nncpoly.{module}"), name)
+    assert "empty" not in {f.name for f in dataclasses.fields(cls)}
 
 
 def test_traced_phases_exist():

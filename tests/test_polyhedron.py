@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from nncpoly import ConKind, Constraint, GenKind, Generator, NncPolyhedron
+from nncpoly.conversion import close_generators, emit_generators
 from nncpoly.errors import DimensionError, EmptySystem
 
-from corpus import CUT_VERTEX_GENS
+from corpus import CUT_VERTEX_GENS, nnc_corpus, wide_corpus
 
 
 def interval(lo_strict: bool, hi_strict: bool) -> NncPolyhedron:
@@ -121,6 +122,69 @@ def test_closure():
     closed = half.closure()
     assert closed.equals(interval(False, False))
     assert closed.closure().equals(closed)
+
+
+def closed_by_conversion(p: NncPolyhedron) -> NncPolyhedron:
+    """Reference closure: every closure point rewritten as a point, then
+    a full generator-to-constraint conversion."""
+    if p.is_empty():
+        return NncPolyhedron.empty(p.dim)
+    return NncPolyhedron.from_generators(
+        [
+            Generator(g.row, GenKind.POINT) if g.kind is GenKind.CLOSURE_POINT else g
+            for g in p.generators()
+        ]
+    )
+
+
+def test_closure_matches_the_conversion_route():
+    for dim, rows in nnc_corpus() + wide_corpus()[:4]:
+        p = NncPolyhedron.from_constraints(rows, dim=dim)
+        ref = closed_by_conversion(p)
+        q = NncPolyhedron.from_constraints(rows[: len(rows) // 2], dim=dim)
+        sources = [p]
+        if not p.is_empty():
+            # built from generators, it reaches closure through a lazy c2g
+            sources.append(NncPolyhedron.from_generators(p.generators()))
+        for src in sources:
+            closed = src.closure()
+            assert closed.equals(ref), rows
+            assert closed.closure().equals(closed), rows
+            assert closed.includes(src), rows
+            # later steps run on the role-flipped context itself
+            assert closed.intersect(q).equals(ref.intersect(q)), rows
+
+
+def test_closure_converts_nothing():
+    for p in (interval(False, True), NncPolyhedron.from_constraints(OPEN_SQUARE_CS)):
+        iterations = p.gen_ctx().counters.iterations
+        closed = p.closure()
+        assert closed._con is None
+        assert closed.gen_ctx().counters.iterations == iterations
+        assert not closed.gen_ctx().ns
+
+
+def test_closure_leaves_its_source_alone():
+    p = NncPolyhedron.from_constraints(OPEN_SQUARE_CS)
+    ctx = p.gen_ctx()
+    gens = emit_generators(ctx)
+    state = (dict(ctx.rows), ctx.singular, ctx.soft, ctx.hard, set(ctx.ns))
+    closed = p.closure()
+    closed.add_constraints([Constraint((1, -1, 0), ConKind.NONSTRICT)]).generators()
+    assert p.gen_ctx() is ctx
+    assert (dict(ctx.rows), ctx.singular, ctx.soft, ctx.hard, set(ctx.ns)) == state
+    assert emit_generators(ctx) == gens
+
+
+def test_closure_of_an_empty_set_that_kept_a_closure_point():
+    # fed in this order, the equality leaves the closure point (5, -1)
+    # alone in the context; turned hard, it would give the set {-1/5}
+    p = NncPolyhedron.from_constraints(
+        [Constraint((-1, -5), ConKind.STRICT), Constraint((1, 5), ConKind.EQUALITY)]
+    )
+    assert p.is_empty()
+    assert emit_generators(close_generators(p.gen_ctx()))
+    assert p.closure().is_empty()
 
 
 def test_intersect():

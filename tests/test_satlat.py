@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -178,6 +179,12 @@ def test_clone_leaves_parent_columns_alone():
     rows = dict(parent.rows)
     roles = (parent.singular, parent.soft, parent.hard)
     child = parent.clone()
+    # every field is carried over; the mutable ones as copies
+    for f in fields(ConvCtx):
+        assert getattr(child, f.name) == getattr(parent, f.name), f.name
+    for name in ("rows", "ns", "sat", "counters"):
+        assert getattr(child, name) is not getattr(parent, name), name
+    assert child.sat.counters is child.counters
     # a role change on the clone moves its masks alone
     hard = next(bit_indices(child.hard))
     child.set_role(hard, Role.SOFT)
