@@ -234,10 +234,7 @@ def combine_adjacent(ctx: ConvCtx, role: Role, split: _Split) -> list[int]:
         split.zero |= 1 << eid
         sps[eid] = 0
         new_ids.append(eid)
-    counters = ctx.counters
-    counters.vec_ops += len(new_ids)
-    counters.pairs_offered += split.pos.bit_count() * split.neg.bit_count()
-    counters.pairs_adjacent += len(new_ids)
+    ctx.counters.vec_ops += len(new_ids)
     return new_ids
 
 

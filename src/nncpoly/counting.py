@@ -22,7 +22,7 @@ class OpCounters:
     iterations counts processed input rows; pairs_offered counts the
     positive/negative pairs a step hands to the adjacency kernel
     (``satlat.adjacent_pairs``) and pairs_adjacent those it finds
-    adjacent, both added once per step.
+    adjacent, both added by that kernel as it goes.
     faces_tried counts the face closures the direct engine asks for (each
     support moved across the new row, each seed stretched by one
     extension), faces_walked those walked, not skipped (one per distinct

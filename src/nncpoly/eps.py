@@ -1,11 +1,14 @@
 """Closed-polyhedra reference engine and the extra-dimension route.
 
 This module is the standard of comparison: a plain Chernikova-style double
-description for topologically closed polyhedra, written without any of the
-strictness machinery.  Strict inequalities and closure points are rejected
-outright (KindError).  NNC inputs reach it through the encode/decode pair,
-which models strictness with one extra coordinate: a slack that strict rows
-must leave positive.
+description for topologically closed polyhedra.  Its step
+(``closed_add_row``) is its own and has none of the strictness machinery:
+no HARD element, no supports, no face enumeration.  Only the element store
+is shared: the state is a ``conversion.ConvCtx`` whose lines / equalities
+are SINGULAR and whose every other element is SOFT.  Strict inequalities
+and closure points are rejected outright (KindError).  NNC inputs reach it
+through the encode/decode pair, which models strictness with one extra
+coordinate: a slack that strict rows must leave positive.
 
 The counting discipline matches the direct engine (one vec_op per scalar
 product and per linear combination, saturation work and adjacency through
@@ -16,81 +19,28 @@ loop, one per positive/negative pair, which the direct engine does not run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
-from .counting import OpCounters
+from .conversion import ConvCtx, Role, Side, init_con_ctx, universe_gen_ctx
 from .errors import DimensionError, EmptySystem, InvariantError, KindError
 from .homvec import Row, combine_with_products, eliminate, normalize, scalar_prod
-from .satlat import SatMatrix, adjacent_pairs, bit_indices, id_mask
+from .satlat import adjacent_pairs, bit_indices
 from .systems import ConKind, Constraint, GenKind, Generator
 
 
-@dataclass
-class ClosedCone:
-    """Double description state for one side of a closed polyhedron."""
-
-    dim: int
-    gen_side: bool
-    rows: dict[int, Row] = field(default_factory=dict)
-    lines: int = 0  # the line-like elements, as an id mask
-    sat: SatMatrix = field(default_factory=SatMatrix)
-    counters: OpCounters = field(default_factory=OpCounters)
-    next_id: int = 0
-
-    def __post_init__(self):
-        self.sat.counters = self.counters
-
-    def add(self, row: Row, line: bool, satrow: int = 0) -> int:
-        eid = self.next_id
-        self.next_id += 1
-        self.rows[eid] = row
-        self.lines |= line << eid
-        self.sat.new_row(eid, satrow)
-        return eid
-
-    def drop(self, eid: int) -> None:
-        del self.rows[eid]
-        self.lines &= ~(1 << eid)
-        self.sat.drop_row(eid)
-
-    def set_empty(self) -> None:
-        """Drop every element: a cone without rows is the empty set."""
-        self.rows.clear()
-        self.lines = 0
-        self.sat.clear()
-
-
-def closed_universe(dim: int) -> ClosedCone:
-    if dim < 1:
-        raise DimensionError("dimension must be at least 1")
-    cone = ClosedCone(dim=dim, gen_side=True)
-    line_ids = []
-    for i in range(1, dim + 1):
-        axis = [0] * (dim + 1)
-        axis[i] = 1
-        line_ids.append(cone.add(tuple(axis), True))
-    cone.add((1,) + (0,) * dim, False)
-    cone.sat.add_col(line_ids)  # homogenization facet, saturated by directions
+def closed_universe(dim: int) -> ConvCtx:
+    cone = universe_gen_ctx(dim)
+    cone.set_role(cone.hard.bit_length() - 1, Role.SOFT)  # the position row is a ray here
     return cone
 
 
-def closed_point_base(point_row: Row) -> ClosedCone:
-    dim = len(point_row) - 1
-    cone = ClosedCone(dim=dim, gen_side=False)
-    for i in range(1, dim + 1):
-        eq = [0] * (dim + 1)
-        eq[0] = -point_row[i]
-        eq[i] = point_row[0]
-        cone.add(normalize(tuple(eq), bidirectional=True), True)
-    pos_id = cone.add((1,) + (0,) * dim, False)
-    cone.counters.iterations += 1
-    cone.sat.add_col([eid for eid in cone.rows if eid != pos_id])
-    cone.counters.sizes.append(len(cone.rows))
+def closed_point_base(point: Generator) -> ConvCtx:
+    cone = init_con_ctx(point)
+    cone.set_role(cone.hard.bit_length() - 1, Role.SOFT)  # positivity is nonstrict here
     return cone
 
 
-def closed_add_row(cone: ClosedCone, row: Row, line: bool) -> None:
+def closed_add_row(cone: ConvCtx, row: Row, line: bool) -> None:
     """One Chernikova step: saturate a line-like violation if there is one,
     otherwise split, combine adjacent opposite pairs and keep the good side."""
     if len(row) != cone.dim + 1:
@@ -100,7 +50,7 @@ def closed_add_row(cone: ClosedCone, row: Row, line: bool) -> None:
         cone.counters.sizes.append(0)
         return
 
-    rows, lines = cone.rows, cone.lines
+    rows, lines = cone.rows, cone.singular
     sps: dict[int, int] = {}
     for eid, r in rows.items():
         sps[eid] = scalar_prod(row, r)
@@ -125,35 +75,31 @@ def closed_add_row(cone: ClosedCone, row: Row, line: bool) -> None:
             sps[eid] = 0
         if line:  # a sign-free row keeps neither half
             del sps[vid]
-            cone.drop(vid)
+            cone.drop_elem(vid)
         else:  # the half the row keeps is a ray
-            cone.lines ^= 1 << vid
+            cone.set_role(vid, Role.SOFT)
     else:
         # no line breaks the row, so every nonzero product is a ray's; sps
         # follows rows, whose keys were inserted in ascending id order
         pos = [eid for eid, s in sps.items() if s > 0]
         neg = [eid for eid, s in sps.items() if s < 0]
         if pos or neg:
-            witnesses = id_mask(rows) & ~lines
             # Rank quick-reject (Fukuda & Prodon 1996), as in PPL: adjacent
             # rays share at least rank - 2 = (dim + 1 - #lines) - 2 saturated
             # rows, so a pair sharing fewer skips the closure.
             need = cone.dim - 1 - lines.bit_count()
             found = 0
-            for p, m in adjacent_pairs(cone.sat, pos, neg, witnesses, need):
+            for p, m in adjacent_pairs(cone.sat, pos, neg, cone.soft, need):
                 combined = combine_with_products(rows[p], rows[m], sps[p], sps[m])
-                eid = cone.add(combined, False, cone.sat.and_rows((p, m)))
+                eid = cone.add_elem(combined, Role.SOFT, cone.sat.and_rows((p, m)))
                 sps[eid] = 0
                 found += 1
-            counters = cone.counters
-            counters.sat_ops += len(pos) * len(neg)  # the quick tests
-            counters.vec_ops += found
-            counters.pairs_offered += len(pos) * len(neg)
-            counters.pairs_adjacent += found
+            cone.counters.sat_ops += len(pos) * len(neg)  # the quick tests
+            cone.counters.vec_ops += found
             for eid in neg + pos if line else neg:
-                cone.drop(eid)
-            if len(rows) == cone.lines.bit_count():
-                if not cone.gen_side:
+                cone.drop_elem(eid)
+            if not cone.soft:
+                if cone.producing is Side.CON:
                     raise InvariantError("closed cone lost every inequality row")
                 cone.set_empty()
                 cone.counters.sizes.append(0)
@@ -163,7 +109,7 @@ def closed_add_row(cone: ClosedCone, row: Row, line: bool) -> None:
     cone.counters.sizes.append(len(rows))
 
 
-def closed_c2g(constraints: Sequence[Constraint], *, dim: int | None = None) -> ClosedCone:
+def closed_c2g(constraints: Sequence[Constraint], *, dim: int | None = None) -> ConvCtx:
     cs = list(constraints)
     for c in cs:
         if c.kind is ConKind.STRICT:
@@ -178,7 +124,7 @@ def closed_c2g(constraints: Sequence[Constraint], *, dim: int | None = None) -> 
     return cone
 
 
-def closed_g2c(generators: Sequence[Generator]) -> ClosedCone:
+def closed_g2c(generators: Sequence[Generator]) -> ConvCtx:
     gens = list(generators)
     for g in gens:
         if g.kind is GenKind.CLOSURE_POINT:
@@ -186,19 +132,19 @@ def closed_g2c(generators: Sequence[Generator]) -> ClosedCone:
     idx = next((i for i, g in enumerate(gens) if g.kind is GenKind.POINT), None)
     if idx is None:
         raise EmptySystem("a generator system needs at least one point")
-    cone = closed_point_base(gens.pop(idx).row)
+    cone = closed_point_base(gens.pop(idx))
     for g in gens:
         closed_add_row(cone, g.row, g.kind is GenKind.LINE)
     return cone
 
 
-def closed_generators(cone: ClosedCone) -> list[Generator]:
-    if not cone.gen_side:
+def closed_generators(cone: ConvCtx) -> list[Generator]:
+    if cone.producing is not Side.GEN:
         raise KindError("cone holds constraints, not generators")
     out = []
     for eid in sorted(cone.rows):
         r = cone.rows[eid]
-        if cone.lines >> eid & 1:
+        if cone.singular >> eid & 1:
             out.append(Generator(r, GenKind.LINE))
         elif r[0] == 0:
             out.append(Generator(r, GenKind.RAY))
@@ -209,12 +155,12 @@ def closed_generators(cone: ClosedCone) -> list[Generator]:
     return out
 
 
-def closed_constraints(cone: ClosedCone) -> list[Constraint]:
-    if cone.gen_side:
+def closed_constraints(cone: ConvCtx) -> list[Constraint]:
+    if cone.producing is Side.GEN:
         raise KindError("cone holds generators, not constraints")
     out = []
     for eid in sorted(cone.rows):
-        r, line = cone.rows[eid], cone.lines >> eid & 1
+        r, line = cone.rows[eid], cone.singular >> eid & 1
         if not line and r[0] > 0 and all(a == 0 for a in r[1:]):
             continue  # positivity is implicit outside the cone view
         out.append(Constraint(r, ConKind.EQUALITY if line else ConKind.NONSTRICT))
@@ -232,16 +178,16 @@ def minimal_cone_rows(
         raise EmptySystem("minimal form needs a position row")
     rest = list(rays)
     first = rest.pop(pos_idx)
-    cone = closed_point_base(first)
+    cone = closed_point_base(Generator(first, GenKind.POINT))
     for l in lines:
         closed_add_row(cone, l, True)
     for r in rest:
         closed_add_row(cone, r, False)
     back = closed_universe(width - 1)
     for eid in sorted(cone.rows):
-        closed_add_row(back, cone.rows[eid], bool(cone.lines >> eid & 1))
-    min_lines = [back.rows[i] for i in bit_indices(back.lines)]
-    min_rays = [r for i, r in back.rows.items() if not back.lines >> i & 1]
+        closed_add_row(back, cone.rows[eid], bool(cone.singular >> eid & 1))
+    min_lines = [back.rows[i] for i in bit_indices(back.singular)]
+    min_rays = [back.rows[i] for i in bit_indices(back.soft)]
     return min_lines, min_rays
 
 
@@ -323,12 +269,12 @@ def eps_decode_generators(gens: Sequence[Generator]) -> list[Generator]:
     return out
 
 
-def eps_c2g(constraints: Sequence[Constraint]) -> tuple[list[Generator], ClosedCone]:
+def eps_c2g(constraints: Sequence[Constraint]) -> tuple[list[Generator], ConvCtx]:
     cone = closed_c2g(eps_encode_constraints(constraints))
     gens = closed_generators(cone)
     return (eps_decode_generators(gens) if gens else []), cone
 
 
-def eps_g2c(generators: Sequence[Generator]) -> tuple[list[Constraint], ClosedCone]:
+def eps_g2c(generators: Sequence[Generator]) -> tuple[list[Constraint], ConvCtx]:
     cone = closed_g2c(eps_encode_generators(generators))
     return eps_decode_constraints(closed_constraints(cone)), cone

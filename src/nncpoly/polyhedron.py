@@ -180,9 +180,7 @@ class NncPolyhedron:
         gens = list(generators)
         _check_dims(gens, self.dim)
         if self.is_empty():
-            if not any(g.kind is GenKind.POINT for g in gens):
-                return NncPolyhedron.empty(self.dim)
-            return NncPolyhedron.from_generators(gens)
+            return NncPolyhedron.from_generators(gens) if gens else self
         return NncPolyhedron(self.dim, con_ctx=conversion_g2c(gens, base=self.con_ctx()))
 
     def intersect(self, other: "NncPolyhedron") -> "NncPolyhedron":

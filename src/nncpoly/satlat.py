@@ -36,7 +36,6 @@ class SatMatrix:
     """
 
     counters: OpCounters = field(default_factory=OpCounters)
-    ncols: int = 0
     bits: dict[int, int] = field(default_factory=dict)
     cols: list[int] = field(default_factory=list)
 
@@ -53,8 +52,7 @@ class SatMatrix:
         self.bits.pop(eid, None)
 
     def add_col(self, saturating: Iterable[int]) -> int:
-        col = self.ncols
-        self.ncols += 1
+        col = len(self.cols)
         bit = 1 << col
         ids = 0
         for eid in saturating:
@@ -66,14 +64,14 @@ class SatMatrix:
     def clear(self) -> None:
         """Forget every row; the columns stay, saturated by nobody."""
         self.bits.clear()
-        self.cols = [0] * self.ncols
+        self.cols = [0] * len(self.cols)
 
     def copy(self, counters: OpCounters) -> "SatMatrix":
-        return SatMatrix(counters, self.ncols, dict(self.bits), list(self.cols))
+        return SatMatrix(counters, dict(self.bits), list(self.cols))
 
     def and_rows(self, eids: Iterable[int]) -> int:
-        """The AND of the rows; no row has a bit at ``ncols`` or above, so
-        neither has the result."""
+        """The AND of the rows; no row has a bit at ``len(cols)`` or above,
+        so neither has the result."""
         mask = -1
         n = 0
         for eid in eids:
@@ -137,7 +135,9 @@ def adjacent_pairs(
     Each pair's rows are ANDed once.  A pair sharing fewer than ``need``
     columns is skipped uncharged (the caller's rank bound, which it charges
     itself); any other pair is charged what ``supp_cl`` charges for
-    {p, m}: two rows plus one sat_op per shared column.
+    {p, m}: two rows plus one sat_op per shared column.  Every pair counts
+    in ``pairs_offered``, added at the start, and every yield in
+    ``pairs_adjacent``.
 
     A repeated mask is skipped and charged as walked: a pair whose shared
     columns repeat an earlier pair's in the call is never adjacent, since
@@ -151,7 +151,9 @@ def adjacent_pairs(
     in the columns never count.
     """
     bits, cols, counters = sat.bits, sat.cols, sat.counters
+    pos = list(pos)
     negs = [(m, bits[m], witnesses & ~(1 << m)) for m in neg]
+    counters.pairs_offered += len(pos) * len(negs)
     walked: set[int] = set()  # shared columns met so far in the call
     charged = 0
     for p in pos:
@@ -168,6 +170,7 @@ def adjacent_pairs(
             walked.add(common)
             if not walk(cols, others & notp, common):
                 counters.sat_ops += charged
+                counters.pairs_adjacent += 1
                 charged = 0
                 yield p, m
     counters.sat_ops += charged

@@ -250,7 +250,7 @@ def test_rank_quick_reject_drops_no_adjacent_pair(monkeypatch, seed):
     def reference_scan(cone, row, line):
         nonlocal rejected
         sps = {eid: scalar_prod(row, r) for eid, r in cone.rows.items()}
-        lines = list(bit_indices(cone.lines))
+        lines = list(bit_indices(cone.singular))
         if not cone.rows or any(sps[eid] for eid in lines):
             return step(cone, row, line)  # no pair loop on this step
         rays = [eid for eid in sorted(cone.rows) if eid not in lines]
@@ -281,8 +281,9 @@ def test_rank_quick_reject_drops_no_adjacent_pair(monkeypatch, seed):
 
 
 def test_every_step_keeps_lines_among_live_rows(monkeypatch):
-    # the lines mask is the one record of which elements are line-like, so
-    # no step may leave a bit there for an element it dropped
+    # the role masks are the one record of which elements are line-like, so
+    # no step may leave a bit there for an element it dropped; the closed
+    # engine holds lines and rays alone, never a hard element or a support
     step = eps.closed_add_row
     steps = 0
 
@@ -290,7 +291,10 @@ def test_every_step_keeps_lines_among_live_rows(monkeypatch):
         nonlocal steps
         step(cone, row, line)
         steps += 1
-        assert not cone.lines & ~id_mask(cone.rows)
+        assert not cone.singular & ~id_mask(cone.rows)
+        assert cone.singular | cone.soft == id_mask(cone.rows)
+        assert cone.hard == 0
+        assert not cone.ns
 
     monkeypatch.setattr(eps, "closed_add_row", checked)
     rng = random.Random(7)

@@ -7,7 +7,8 @@ benchmark tracer times must still exist under its name, the engine keeps
 supports in one representation, int id masks, both engines run their
 pair loops through one adjacency kernel, the direct engine closes every
 face through one helper, every closure walks its columns through one
-function, and neither engine keeps a record object per element.
+function, neither engine keeps a record object per element, and the eps
+engine shares the direct engine's element store but not its step.
 """
 
 import ast
@@ -17,6 +18,8 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+
+from nncpoly.conversion import ConvCtx
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "nncpoly"
@@ -148,8 +151,8 @@ def test_one_column_walk():
 @pytest.mark.parametrize("name", ["conversion", "eps"])
 def test_elements_have_no_record_class(name):
     # an element is its row in one id -> row dict and its bit in the role
-    # (or lines) masks; a record per element would hold its role a second
-    # time, beside the masks
+    # masks; a record per element would hold its role a second time,
+    # beside the masks
     tree = _tree(SRC / f"{name}.py")
     records = {
         cls.name
@@ -163,12 +166,31 @@ def test_elements_have_no_record_class(name):
     assert not reads, f"{name}.py reads element attributes {sorted(reads)}"
 
 
-@pytest.mark.parametrize("module, name", [("conversion", "ConvCtx"), ("eps", "ClosedCone")])
-def test_emptiness_is_no_rows(module, name):
-    # an engine state is empty exactly when it holds no rows; a flag beside
-    # them would record the same fact twice
-    cls = getattr(importlib.import_module(f"nncpoly.{module}"), name)
-    assert "empty" not in {f.name for f in dataclasses.fields(cls)}
+def test_emptiness_is_no_rows():
+    # an engine state (ConvCtx, for both engines) is empty exactly when it
+    # holds no rows; a flag beside them would record the same fact twice
+    assert "empty" not in {f.name for f in dataclasses.fields(ConvCtx)}
+
+
+def test_eps_shares_only_the_element_store():
+    # the reference engine keeps its state in ConvCtx and starts from the
+    # direct engine's initial contexts, but runs its own Chernikova step:
+    # it takes no step phase from conversion
+    tree = _tree(SRC / "eps.py")
+    taken = {
+        a.name
+        for n in ast.walk(tree)
+        if isinstance(n, ast.ImportFrom) and n.module == "conversion"
+        for a in n.names
+    }
+    assert taken == {"ConvCtx", "Role", "Side", "universe_gen_ctx", "init_con_ctx"}
+    assert "conversion" not in _names(tree)
+    conversion = _tree(SRC / "conversion.py")
+    phases = {n.name for n in conversion.body if isinstance(n, ast.FunctionDef)}
+    phases -= taken
+    assert phases >= {"process_row", "partition_elems", "combine_adjacent"}
+    assert not _calls(tree) & phases
+    assert "closed_add_row" in _calls(tree)
 
 
 def test_traced_phases_exist():

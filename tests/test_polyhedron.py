@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from nncpoly import ConKind, Constraint, GenKind, Generator, NncPolyhedron
 from nncpoly.conversion import close_generators, emit_generators
 from nncpoly.errors import DimensionError, EmptySystem
+from nncpoly.systems import con_contains
 
 from corpus import CUT_VERTEX_GENS, nnc_corpus, wide_corpus
 
@@ -187,6 +189,61 @@ def test_closure_of_an_empty_set_that_kept_a_closure_point():
     assert p.closure().is_empty()
 
 
+def corpus_pairs() -> list[tuple[NncPolyhedron, NncPolyhedron]]:
+    """Consecutive systems of ``nnc_corpus()`` that share a dimension."""
+    waiting: dict[int, NncPolyhedron] = {}
+    out = []
+    for dim, rows in nnc_corpus():
+        p = NncPolyhedron.from_constraints(rows, dim=dim)
+        if dim in waiting:
+            out.append((waiting.pop(dim), p))
+        else:
+            waiting[dim] = p
+    return out
+
+
+def test_closure_distributes_over_hull():
+    pairs = corpus_pairs()
+    assert len(pairs) > 80
+    for p, q in pairs:
+        assert p.poly_hull(q).closure().equals(p.closure().poly_hull(q.closure()))
+
+
+def test_closure_of_a_meet_lies_in_the_meet_of_closures():
+    for p, q in corpus_pairs():
+        assert p.closure().intersect(q.closure()).includes(p.intersect(q).closure())
+
+
+def test_closure_contains_what_the_relaxed_constraints_hold():
+    # for a nonempty set, the closure is its constraints with every strict
+    # row made nonstrict; sampled at seeded box points and at the points and
+    # closure points of the set, where the two differ most often
+    rng = random.Random(5)
+    checked = 0
+    for dim, rows in nnc_corpus():
+        p = NncPolyhedron.from_constraints(rows, dim=dim)
+        if p.is_empty():
+            continue
+        relaxed = [
+            Constraint(c.row, ConKind.NONSTRICT if c.kind is ConKind.STRICT else c.kind)
+            for c in p.constraints()
+        ]
+        xs = [
+            [Fraction(rng.randint(-12, 12), rng.randint(1, 3)) for _ in range(dim)]
+            for _ in range(20)
+        ]
+        xs += [
+            [Fraction(a, g.row[0]) for a in g.row[1:]]
+            for g in p.generators()
+            if g.kind in (GenKind.POINT, GenKind.CLOSURE_POINT)
+        ]
+        closed = p.closure()
+        for x in xs:
+            assert closed.contains_point(x) == con_contains(relaxed, x), (rows, x)
+            checked += 1
+    assert checked > 2000
+
+
 def test_intersect():
     p = interval(False, True)  # [1, 3)
     q = NncPolyhedron.from_constraints(
@@ -270,6 +327,8 @@ def test_add_generators_to_empty():
     e = NncPolyhedron.empty(1)
     p = e.add_generators([Generator((1, 4), GenKind.POINT)])
     assert p.equals(NncPolyhedron.from_generators([Generator((1, 4), GenKind.POINT)]))
+    assert e.add_generators([]).is_empty()
+    assert e.add_generators([Generator((1, 4), GenKind.CLOSURE_POINT)]).is_empty()
 
 
 def test_operations_leave_operands_alone():

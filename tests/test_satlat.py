@@ -53,7 +53,7 @@ def small_matrix() -> SatMatrix:
 
 def test_satmatrix_rows_and_cols():
     sat = small_matrix()
-    assert sat.ncols == 3
+    assert len(sat.cols) == 3
     assert sat.bits[0] == 0b011
     assert sat.bits[3] == 0b111
     sat.drop_row(0)
@@ -94,8 +94,7 @@ def test_supp_cl_counts_one_op_per_member_and_column():
 
 def check_columns(sat: SatMatrix, live: set[int]) -> None:
     """On live ids the columns are the transposed rows."""
-    assert len(sat.cols) == sat.ncols
-    for c in range(sat.ncols):
+    for c in range(len(sat.cols)):
         assert mask_ids(sat.cols[c] & id_mask(live)) == {e for e in live if sat.bits[e] >> c & 1}
 
 
@@ -110,7 +109,7 @@ def test_mask_closure_matches_row_scan(seed):
     for _ in range(300):
         op = rng.choices(["new", "drop", "col", "copy", "clear"], [6, 3, 3, 1, 0.2])[0]
         if op == "new":
-            sat.new_row(next_id, rng.getrandbits(sat.ncols) if sat.ncols else 0)
+            sat.new_row(next_id, rng.getrandbits(len(sat.cols)) if sat.cols else 0)
             live.add(next_id)
             next_id += 1
         elif op == "drop" and live:
@@ -121,11 +120,11 @@ def test_mask_closure_matches_row_scan(seed):
         elif op == "copy":
             # mutating the original leaves the copy alone
             twin = sat.copy(sat.counters)
-            frozen = (dict(twin.bits), list(twin.cols), twin.ncols)
+            frozen = (dict(twin.bits), list(twin.cols))
             sat.add_col(sorted(live))
-            sat.new_row(next_id, (1 << sat.ncols) - 1)
+            sat.new_row(next_id, (1 << len(sat.cols)) - 1)
             next_id += 1
-            assert (twin.bits, twin.cols, twin.ncols) == frozen
+            assert (twin.bits, twin.cols) == frozen
             sat = twin
         elif op == "clear":
             # the columns forget every id, so ids may start over
@@ -133,8 +132,8 @@ def test_mask_closure_matches_row_scan(seed):
             live.clear()
             next_id = 0
         check_columns(sat, live)
-        # no row carries a bit at or above ncols, so and_rows needs no mask
-        assert all(sat.bits[e] >> sat.ncols == 0 for e in live)
+        # no row carries a bit at or above len(cols), so and_rows needs no mask
+        assert all(sat.bits[e] >> len(sat.cols) == 0 for e in live)
         stale_seen += any(col & ~id_mask(live) for col in sat.cols)
         if not live:
             continue
@@ -175,7 +174,7 @@ def test_clone_leaves_parent_columns_alone():
     parent = conversion_g2c(
         [Generator((1, 0, 0), GenKind.POINT), Generator((1, 2, 0), GenKind.CLOSURE_POINT)]
     )
-    before = (dict(parent.sat.bits), list(parent.sat.cols), parent.sat.ncols)
+    before = (dict(parent.sat.bits), list(parent.sat.cols))
     rows = dict(parent.rows)
     roles = (parent.singular, parent.soft, parent.hard)
     child = parent.clone()
@@ -197,7 +196,7 @@ def test_clone_leaves_parent_columns_alone():
     assert any(child.rows[i] != r for i, r in rows.items() if i in child.rows)
     process_row(child, (1, 0, 1), Role.SOFT)
     child.set_empty()
-    assert (dict(parent.sat.bits), list(parent.sat.cols), parent.sat.ncols) == before
+    assert (dict(parent.sat.bits), list(parent.sat.cols)) == before
     assert parent.rows == rows
     assert (parent.singular, parent.soft, parent.hard) == roles
 
