@@ -9,7 +9,8 @@ time.  Element behavior depends on a three-way role, not on the side:
 * HARD: skeleton points / skeleton-strict inequalities.
 
 An element is its row, kept under its id, and its id's bit in the mask of
-its role; nothing else records the role.
+its role; nothing else records the role.  Role changes and removals take
+id masks, one call per step.
 
 Every row takes one step (``process_row``).  If the row breaks a
 SINGULAR element, that element is first pivoted into the half the row
@@ -33,19 +34,16 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .counting import OpCounters
-from .errors import DimensionError, EmptySystem, InvariantError, KindError, StaleIdError
-from .homvec import Row, combine_with_products, eliminate, normalize
-from .satlat import (
-    Region,
-    SatMatrix,
-    adjacent_pairs,
-    bit_indices,
-    classify_ns,
-    id_mask,
-    nonredundant_union,
-    proj,
-    walk,
+from .errors import (
+    DimensionError,
+    EmptySupportError,
+    EmptySystem,
+    InvariantError,
+    KindError,
+    StaleIdError,
 )
+from .homvec import Row, combine_with_products, eliminate, normalize
+from .satlat import SatMatrix, adjacent_pairs, bit_indices, id_mask, nonredundant_union, walk
 from .systems import ConKind, Constraint, GenKind, Generator
 
 
@@ -118,27 +116,42 @@ class ConvCtx:
         eid = self.next_id
         self.next_id += 1
         self.rows[eid] = row
-        self._flip(role, 1 << eid)
+        self._join(1 << eid, role)
         self.sat.new_row(eid, satrow)
         return eid
 
-    def drop_elem(self, eid: int) -> None:
-        del self.rows[eid]
-        self._flip(self.role_of(eid), 1 << eid)
-        self.sat.drop_row(eid)
-
-    def set_role(self, eid: int, role: Role) -> None:
-        self._flip(self.role_of(eid), 1 << eid)
-        self._flip(role, 1 << eid)
-
-    def _flip(self, role: Role, bit: int) -> None:
+    def _join(self, ids: int, role: Role) -> None:
         # an if-chain, not a dict keyed by Role: Enum hashing is a Python call
         if role is Role.HARD:
-            self.hard ^= bit
+            self.hard |= ids
         elif role is Role.SOFT:
-            self.soft ^= bit
+            self.soft |= ids
         else:
-            self.singular ^= bit
+            self.singular |= ids
+
+    def _leave(self, ids: int) -> None:
+        """Take the elements of the id mask ``ids`` out of their roles."""
+        stale = ids & ~(self.singular | self.soft | self.hard)
+        if stale:
+            raise StaleIdError(f"elements {list(bit_indices(stale))} are gone")
+        others = ~ids
+        self.singular &= others
+        self.soft &= others
+        self.hard &= others
+
+    def set_role(self, ids: int, role: Role) -> None:
+        """Give every element of the id mask ``ids`` the role."""
+        self._leave(ids)
+        self._join(ids, role)
+
+    def drop(self, ids: int) -> None:
+        """Remove every element of the id mask ``ids``; ids are never
+        reused, so no column needs clearing."""
+        self._leave(ids)
+        rows = self.rows
+        for eid in bit_indices(ids):
+            del rows[eid]
+        self.sat.drop(ids)
 
     def role_of(self, eid: int) -> Role:
         if self.hard >> eid & 1:
@@ -156,13 +169,11 @@ class ConvCtx:
             raise StaleIdError(f"element {eid} is gone") from None
 
     def set_empty(self) -> None:
-        """Drop every element.  A context without rows denotes the empty
-        set, but not every empty set drops its rows: a closure point can
-        outlive the last point."""
-        self.rows.clear()
-        self.singular = self.soft = self.hard = 0
-        self.ns.clear()
-        self.sat.clear()
+        """Drop every element and support.  A context without rows denotes
+        the empty set, but not every empty set drops its rows: a closure
+        point can outlive the last point."""
+        self.drop(self.singular | self.soft | self.hard)
+        self.ns = set()
 
     def clone(self) -> "ConvCtx":
         counters = replace(self.counters, sizes=list(self.counters.sizes))
@@ -238,10 +249,6 @@ def combine_adjacent(ctx: ConvCtx, role: Role, split: _Split) -> list[int]:
     return new_ids
 
 
-def _classify_all(ctx: ConvCtx, split: _Split) -> dict[int, Region]:
-    return {ns: classify_ns(ns, split.pos, split.zero, split.neg) for ns in ctx.ns}
-
-
 def _close_and_keep(
     ctx: ConvCtx, split: _Split, seeds: Iterable[list[int]], exts: Sequence[int] | None = None
 ) -> set[int]:
@@ -290,9 +297,10 @@ def _close_and_keep(
     return out
 
 
-def move_ns(ctx: ConvCtx, split: _Split, regions: dict[int, Region]) -> set[int]:
+def move_ns(ctx: ConvCtx, split: _Split) -> set[int]:
     """Reattach supports that straddle the new row to the kept side."""
-    mixed = [list(bit_indices(ns)) for ns, region in regions.items() if region is Region.MIX]
+    pos, neg = split.pos, split.neg
+    mixed = [list(bit_indices(ns)) for ns in ctx.ns if ns & pos and ns & neg]
     return _close_and_keep(ctx, split, mixed) if mixed else set()
 
 
@@ -308,12 +316,14 @@ def enumerate_faces(ctx: ConvCtx, seeds: Sequence[int], extensions: int, split: 
     return _close_and_keep(ctx, split, members, list(bit_indices(extensions)))
 
 
-def _seeds(hard: int, regions: dict[int, Region], region: Region) -> list[int]:
-    """Each hard element alone, then the supports lying in the region."""
-    return [1 << i for i in bit_indices(hard)] + [ns for ns, r in regions.items() if r is region]
+def _seeds(ctx: ConvCtx, hard: int, meet: int, miss: int) -> list[int]:
+    """Each hard element alone, then the supports that meet the mask
+    ``meet`` and miss the mask ``miss``."""
+    supports = [ns for ns in ctx.ns if ns & meet and not ns & miss]
+    return [1 << i for i in bit_indices(hard)] + supports
 
 
-def create_ns(ctx: ConvCtx, split: _Split, role: Role, regions: dict[int, Region]) -> set[int]:
+def create_ns(ctx: ConvCtx, split: _Split, role: Role) -> set[int]:
     """Fresh supports for faces that cross the new row.
 
     Crossing faces are found from point-like elements and existing supports
@@ -325,12 +335,12 @@ def create_ns(ctx: ConvCtx, split: _Split, role: Role, regions: dict[int, Region
     """
     hard_neg = ctx.hard & split.neg
     soft_pos = ctx.soft & split.pos
-    out = enumerate_faces(ctx, _seeds(hard_neg, regions, Region.NEG), soft_pos, split)
+    out = enumerate_faces(ctx, _seeds(ctx, hard_neg, split.neg, split.pos), soft_pos, split)
     if role is Role.HARD:
         return out
     hard_pos = ctx.hard & split.pos
     soft_neg = ctx.soft & split.neg
-    out |= enumerate_faces(ctx, _seeds(hard_pos, regions, Region.POS), soft_neg, split)
+    out |= enumerate_faces(ctx, _seeds(ctx, hard_pos, split.pos, split.neg), soft_neg, split)
     if ctx.producing is Side.CON:
         # Two strict rows on opposite sides that are not adjacent meet in a
         # face no soft extension reaches (a closure point can cut the vertex
@@ -351,12 +361,12 @@ def promote_singletons(ctx: ConvCtx) -> None:
 
     The family must be an antichain, as every step leaves it: then no other
     support contains a promoted element, and none needs dropping."""
-    for ns in [ns for ns in ctx.ns if not ns & (ns - 1) and ns & ctx.soft]:
-        eid = ns.bit_length() - 1
-        if ctx.producing is Side.GEN and ctx.rows[eid][0] == 0:
-            continue
-        ctx.set_role(eid, Role.HARD)
-        ctx.ns.discard(ns)
+    singles = [ns for ns in ctx.ns if not ns & (ns - 1) and ns & ctx.soft]
+    if ctx.producing is Side.GEN:  # a lone ray is no point: it stays a support
+        singles = [ns for ns in singles if ctx.rows[ns.bit_length() - 1][0] != 0]
+    if singles:
+        ctx.set_role(sum(singles), Role.HARD)  # distinct bits: the sum is their union
+        ctx.ns.difference_update(singles)
 
 
 def violating_singular(ctx: ConvCtx, split: _Split, vid: int) -> None:
@@ -374,7 +384,7 @@ def violating_singular(ctx: ConvCtx, split: _Split, vid: int) -> None:
     half = rows[vid] if sv > 0 else normalize(tuple(-x for x in rows[vid]))
     sl = abs(sv)
     rows[vid] = half
-    ctx.set_role(vid, Role.SOFT)
+    ctx.set_role(1 << vid, Role.SOFT)
     split.sps[vid] = sl
     split.zero |= split.pos | split.neg
     split.pos, split.neg = 1 << vid, 0
@@ -394,15 +404,14 @@ def violating_singular(ctx: ConvCtx, split: _Split, vid: int) -> None:
         split.sps[eid] = 0
 
 
-def strict_on_eq_points(ctx: ConvCtx, split: _Split, regions: dict[int, Region]) -> set[int]:
+def strict_on_eq_points(ctx: ConvCtx, split: _Split) -> set[int]:
     """A strict row saturates part of the skeleton: the saturated hard
     elements soften, and each face they or the saturated supports span with
     one soft positive element comes back as a fresh support.  The only
     place where a strict row softens what it saturates."""
     hard_zero = ctx.hard & split.zero
-    seeds = _seeds(hard_zero, regions, Region.ZERO)
-    for i in bit_indices(hard_zero):
-        ctx.set_role(i, Role.SOFT)
+    seeds = _seeds(ctx, hard_zero, split.zero, split.pos | split.neg)
+    ctx.set_role(hard_zero, Role.SOFT)
     soft_pos = ctx.soft & split.pos
     return enumerate_faces(ctx, seeds, soft_pos, split)
 
@@ -416,29 +425,31 @@ def _regular(ctx: ConvCtx, role: Role, split: _Split) -> None:
         ctx.set_empty()
         return
 
-    regions = _classify_all(ctx, split)
+    # pos and neg are fixed for the rest of the step, and no support ever
+    # holds an id that combine_adjacent adds to the zero part
+    pos, neg = split.pos, split.neg
+    parts = pos | split.zero | neg
+    for ns in ctx.ns:
+        if ns & ~parts:
+            raise EmptySupportError(f"support {list(bit_indices(ns))} outside the step's parts")
     combine_adjacent(ctx, role, split)
     # Fixed for the rest of the step: later phases only soften hard elements.
-    split.cands = split.pos | split.zero | split.neg
-    split.keep = proj(split.cands, role is Role.HARD, split.zero, split.neg)
+    split.cands = pos | split.zero | neg
+    split.keep = split.cands & ~neg if role is Role.HARD else split.zero
     # strict_on_eq_points softens the hard zero part of a strict row's step
     split.dead = ctx.hard & split.keep & ~(split.zero if role is Role.HARD else 0)
-    moved = move_ns(ctx, split, regions)
-    created = create_ns(ctx, split, role, regions)
+    moved = move_ns(ctx, split)
+    created = create_ns(ctx, split, role)
 
-    if role is Role.SINGULAR:
-        doomed = split.pos | split.neg
-        kept = {ns for ns, r in regions.items() if r is Region.ZERO}
-    elif role is Role.SOFT:
-        doomed = split.neg
-        kept = {ns for ns, r in regions.items() if r in (Region.POS, Region.ZERO)}
+    if role is Role.HARD:
+        doomed = neg
+        created |= strict_on_eq_points(ctx, split)
+        kept = {ns for ns in ctx.ns if ns & pos and not ns & neg}
     else:
-        doomed = split.neg
-        created |= strict_on_eq_points(ctx, split, regions)
-        kept = {ns for ns, r in regions.items() if r is Region.POS}
+        doomed = pos | neg if role is Role.SINGULAR else neg
+        kept = {ns for ns in ctx.ns if not ns & doomed}
 
-    for eid in bit_indices(doomed):
-        ctx.drop_elem(eid)
+    ctx.drop(doomed)
     left = split.cands & ~doomed  # every live non-singular element
     if moved or created:
         ctx.ns = nonredundant_union(kept, moved, created, hard=ctx.hard & left)
@@ -570,9 +581,7 @@ def close_generators(ctx: ConvCtx) -> ConvCtx:
     change alone: closure points turn hard, rays stay soft, and the
     supports go, as every face one filled is closed now."""
     out = ctx.clone()
-    for eid in bit_indices(out.soft):
-        if out.rows[eid][0] != 0:
-            out.set_role(eid, Role.HARD)
+    out.set_role(id_mask(e for e in bit_indices(out.soft) if out.rows[e][0] != 0), Role.HARD)
     out.ns = set()
     return out
 

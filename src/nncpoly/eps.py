@@ -24,19 +24,19 @@ from typing import Sequence
 from .conversion import ConvCtx, Role, Side, init_con_ctx, universe_gen_ctx
 from .errors import DimensionError, EmptySystem, InvariantError, KindError
 from .homvec import Row, combine_with_products, eliminate, normalize, scalar_prod
-from .satlat import adjacent_pairs, bit_indices
+from .satlat import adjacent_pairs, bit_indices, id_mask
 from .systems import ConKind, Constraint, GenKind, Generator
 
 
 def closed_universe(dim: int) -> ConvCtx:
     cone = universe_gen_ctx(dim)
-    cone.set_role(cone.hard.bit_length() - 1, Role.SOFT)  # the position row is a ray here
+    cone.set_role(cone.hard, Role.SOFT)  # the position row is a ray here
     return cone
 
 
 def closed_point_base(point: Generator) -> ConvCtx:
     cone = init_con_ctx(point)
-    cone.set_role(cone.hard.bit_length() - 1, Role.SOFT)  # positivity is nonstrict here
+    cone.set_role(cone.hard, Role.SOFT)  # positivity is nonstrict here
     return cone
 
 
@@ -75,9 +75,9 @@ def closed_add_row(cone: ConvCtx, row: Row, line: bool) -> None:
             sps[eid] = 0
         if line:  # a sign-free row keeps neither half
             del sps[vid]
-            cone.drop_elem(vid)
+            cone.drop(1 << vid)
         else:  # the half the row keeps is a ray
-            cone.set_role(vid, Role.SOFT)
+            cone.set_role(1 << vid, Role.SOFT)
     else:
         # no line breaks the row, so every nonzero product is a ray's; sps
         # follows rows, whose keys were inserted in ascending id order
@@ -96,8 +96,7 @@ def closed_add_row(cone: ConvCtx, row: Row, line: bool) -> None:
                 found += 1
             cone.counters.sat_ops += len(pos) * len(neg)  # the quick tests
             cone.counters.vec_ops += found
-            for eid in neg + pos if line else neg:
-                cone.drop_elem(eid)
+            cone.drop(id_mask(neg + pos if line else neg))
             if not cone.soft:
                 if cone.producing is Side.CON:
                     raise InvariantError("closed cone lost every inequality row")
@@ -211,6 +210,11 @@ def eps_encode_constraints(cs: Sequence[Constraint]) -> list[Constraint]:
     return out
 
 
+def _nothing(dim: int) -> list[Constraint]:
+    """The empty set's constraint system: -1 >= 0."""
+    return [Constraint((-1,) + (0,) * dim, ConKind.NONSTRICT)]
+
+
 def eps_decode_constraints(cs: Sequence[Constraint]) -> list[Constraint]:
     out = []
     for c in cs:
@@ -219,7 +223,7 @@ def eps_decode_constraints(cs: Sequence[Constraint]) -> list[Constraint]:
         if all(a == 0 for a in body[1:]):
             if c.kind is ConKind.EQUALITY and e != 0:
                 # every generator sits at slack 0: there was no point
-                return [Constraint((-1,) + (0,) * (len(body) - 1), ConKind.NONSTRICT)]
+                return _nothing(len(body) - 1)
             continue  # slack bound (or tautology): no geometric content
         if e == 0:
             out.append(Constraint(body, c.kind))
@@ -276,5 +280,10 @@ def eps_c2g(constraints: Sequence[Constraint]) -> tuple[list[Generator], ConvCtx
 
 
 def eps_g2c(generators: Sequence[Generator]) -> tuple[list[Constraint], ConvCtx]:
-    cone = closed_g2c(eps_encode_generators(generators))
+    encoded = eps_encode_generators(generators)
+    if encoded and not any(g.kind is GenKind.POINT for g in encoded):
+        # rays and lines alone span the empty set: no cone to start from
+        dim = encoded[0].dim
+        return _nothing(dim - 1), ConvCtx(dim=dim, producing=Side.CON)
+    cone = closed_g2c(encoded)
     return eps_decode_constraints(closed_constraints(cone)), cone

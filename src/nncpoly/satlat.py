@@ -3,8 +3,9 @@
 Every conversion element carries a saturation row: one bit per opposite-side
 row seen so far, set when the scalar product was zero.  Supports of
 non-skeleton strictness marks are sets of element ids, stored as int id
-masks (bit e set for element e); the helpers here close, project, classify
-and minimize them.  ``walk`` is the one column walk of a closure:
+masks (bit e set for element e); the direct engine sorts them against a
+step's parts by mask tests, and the helpers here close and minimize them.
+``walk`` is the one column walk of a closure:
 ``supp_cl`` closes faces with it, and ``adjacent_pairs``, the pair loop of
 both engines, runs it over every positive/negative pair of a step.  A pair
 whose shared columns repeat an earlier pair's in the call is never
@@ -15,7 +16,6 @@ adjacent, so a repeated mask is skipped and charged as walked (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Iterable, Iterator, TypeVar
 
 from .counting import OpCounters
@@ -29,10 +29,10 @@ class SatMatrix:
     """Bit rows keyed by element id, and the same bits column-major.
 
     ``bits[e]`` has bit c set when element e saturates column c;
-    ``cols[c]`` has bit e set for the same pairs.  ``drop_row`` leaves the
-    dropped id's bits in ``cols``: this is sound because an id is never
-    reused until ``clear()`` and every column query is ANDed with a mask of
-    live ids (the candidates of ``walk``).
+    ``cols[c]`` has bit e set for the same pairs.  ``drop`` leaves the
+    dropped ids' bits in ``cols``: this is sound because an id is never
+    reused (there is no way to clear the columns) and every column query
+    is ANDed with a mask of live ids (the candidates of ``walk``).
     """
 
     counters: OpCounters = field(default_factory=OpCounters)
@@ -48,8 +48,11 @@ class SatMatrix:
             cols[low.bit_length() - 1] |= bit
             mask ^= low
 
-    def drop_row(self, eid: int) -> None:
-        self.bits.pop(eid, None)
+    def drop(self, ids: int) -> None:
+        """Forget the rows of the ids in the mask ``ids``."""
+        bits = self.bits
+        for eid in bit_indices(ids):
+            del bits[eid]
 
     def add_col(self, saturating: Iterable[int]) -> int:
         col = len(self.cols)
@@ -60,11 +63,6 @@ class SatMatrix:
             ids |= 1 << eid
         self.cols.append(ids)
         return col
-
-    def clear(self) -> None:
-        """Forget every row; the columns stay, saturated by nobody."""
-        self.bits.clear()
-        self.cols = [0] * len(self.cols)
 
     def copy(self, counters: OpCounters) -> "SatMatrix":
         return SatMatrix(counters, dict(self.bits), list(self.cols))
@@ -179,34 +177,6 @@ def adjacent_pairs(
 def adjacent(sat: SatMatrix, a: int, b: int, witnesses: int) -> bool:
     """Whether one pair is adjacent: ``adjacent_pairs`` on {a} x {b}."""
     return any(adjacent_pairs(sat, (a,), (b,), witnesses))
-
-
-class Region(Enum):
-    POS = "+"
-    ZERO = "0"
-    NEG = "-"
-    MIX = "+-"
-
-
-def classify_ns(ns: int, pos: int, zero: int, neg: int) -> Region:
-    """Where a support (an id mask) lies against the parts of a step."""
-    hits_pos = bool(ns & pos)
-    hits_neg = bool(ns & neg)
-    if hits_pos and hits_neg:
-        return Region.MIX
-    if hits_pos:
-        return Region.POS
-    if hits_neg:
-        return Region.NEG
-    if not ns & ~zero:
-        return Region.ZERO
-    raise EmptySupportError(f"support {list(bit_indices(ns))} outside the current partition")
-
-
-def proj(ns: int, strict: bool, zero: int, neg: int) -> int:
-    """Restrict a closed support (an id mask) to the side kept by the new
-    row."""
-    return ns & ~neg if strict else ns & zero
 
 
 def nonredundant_union(*families: Iterable[int], hard: int) -> set[int]:

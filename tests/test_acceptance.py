@@ -318,7 +318,7 @@ def test_criterion_8_non_redundancy():
             poly = NncPolyhedron.from_generators(gens)
             for eid in list(ctx.rows):
                 cut = ctx.clone()
-                cut.drop_elem(eid)
+                cut.drop(1 << eid)
                 cut.ns = {s for s in cut.ns if not s >> eid & 1}
                 mutilated = _poly_from_gen_ctx(cut, dim)
                 if mutilated.equals(poly):

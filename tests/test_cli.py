@@ -98,8 +98,10 @@ def test_check_v_side_with_oracle(tmp_path, capsys):
     [
         "V-representation\nclosure 1 1\nbegin\n 1 2 integer\n 1 1\nend\n",
         "V-representation\nclosure 1 1\nbegin\n 2 3 integer\n 1 1 2\n 0 1 -1\nend\n",
+        "V-representation\nbegin\n 1 3 integer\n 0 1 0\nend\n",
+        "V-representation\nlinearity 1 1\nbegin\n 1 3 integer\n 0 1 0\nend\n",
     ],
-    ids=["closure-point", "closure-point-and-ray"],
+    ids=["closure-point", "closure-point-and-ray", "ray-only", "line-only"],
 )
 def test_check_oracle_on_a_v_file_without_points(tmp_path, capsys, text):
     # the set is empty, and the slack route must say so too

@@ -24,7 +24,7 @@ from nncpoly.conversion import (
     promote_singletons,
     universe_gen_ctx,
 )
-from nncpoly.errors import DimensionError, EmptySystem, KindError
+from nncpoly.errors import DimensionError, EmptySupportError, EmptySystem, KindError, StaleIdError
 from nncpoly.homvec import scalar_prod
 from nncpoly.satlat import bit_indices, id_mask, mask_ids, minimal_family
 from nncpoly.systems import ConKind, Constraint, GenKind, Generator
@@ -157,6 +157,46 @@ def test_rays_never_promote_on_generator_side():
     promote_singletons(ctx)
     assert ctx.role_of(1) is Role.SOFT
     assert supports(ctx) == {frozenset({1})}
+
+
+def test_singletons_promote_together():
+    # every singleton of the step turns hard in one role change, and
+    # exactly those supports go
+    ctx = square_ctx([{0}, {2}, {1, 3}])
+    promote_singletons(ctx)
+    assert (ctx.hard, ctx.soft) == (id_mask({0, 2}), id_mask({1, 3}))
+    assert supports(ctx) == {frozenset({1, 3})}
+
+
+def test_role_changes_and_removals_take_live_id_masks():
+    ctx = square_ctx([])
+    ctx.set_role(id_mask({0, 2}), Role.HARD)
+    assert (ctx.hard, ctx.soft) == (id_mask({0, 2}), id_mask({1, 3}))
+    ctx.drop(id_mask({1, 2}))
+    assert sorted(ctx.rows) == sorted(ctx.sat.bits) == [0, 3]
+    assert (ctx.singular, ctx.soft, ctx.hard) == (0, id_mask({3}), id_mask({0}))
+    # a dropped id, or one never issued, is stale: the call raises and
+    # changes nothing, also for the live ids beside it
+    state = (dict(ctx.rows), dict(ctx.sat.bits), ctx.singular, ctx.soft, ctx.hard)
+    for stale in (id_mask({1}), id_mask({0, 9})):
+        with pytest.raises(StaleIdError):
+            ctx.drop(stale)
+        with pytest.raises(StaleIdError):
+            ctx.set_role(stale, Role.SOFT)
+        assert (dict(ctx.rows), dict(ctx.sat.bits), ctx.singular, ctx.soft, ctx.hard) == state
+
+
+@pytest.mark.parametrize("stale", ["line", "dropped"])
+def test_a_support_on_a_stale_element_fails_the_step(stale):
+    # a support names live non-singular elements only; this one also meets
+    # the positive side, so it does not lie outside the step's parts whole
+    ctx = square_ctx([{0, 3}])
+    if stale == "line":
+        ctx.set_role(id_mask({3}), Role.SINGULAR)
+    else:
+        ctx.drop(id_mask({3}))
+    with pytest.raises(EmptySupportError):
+        process_row(ctx, (2, 0, -1), Role.SOFT)  # the line saturates it
 
 
 # --- end to end ---------------------------------------------------------
@@ -484,6 +524,25 @@ def test_wide_g2c_counters_are_pinned():
     assert (c.pairs_offered, c.pairs_adjacent) == (27281, 878)
     assert (c.faces_tried, c.faces_walked, c.faces_kept) == (23238, 3816, 67)
     assert (max(c.sizes), len(ctx.ns)) == (90, 0)
+
+
+def test_corpus_c2g_counters_are_pinned():
+    # summed exact work of every c2g over the mixed and the wide corpus,
+    # which run all three row roles and the line pivot, so that a step edit
+    # which moves work on any of them fails here
+    keys = ("vec_ops", "sat_ops", "pairs_offered", "pairs_adjacent")
+    faces = ("faces_tried", "faces_walked", "faces_kept")
+    totals = dict.fromkeys(keys + faces, 0)
+    peak = supports_out = 0
+    for dim, rows in nnc_corpus() + wide_corpus():
+        ctx = conversion_c2g(rows, dim=dim)
+        for key in totals:
+            totals[key] += getattr(ctx.counters, key)
+        peak = max(peak, *ctx.counters.sizes)
+        supports_out += len(ctx.ns)
+    assert [totals[k] for k in keys] == [17092, 477970, 87206, 4650]
+    assert [totals[k] for k in faces] == [13913, 3974, 1211]
+    assert (peak, supports_out) == (177, 113)
 
 
 def test_wrong_side_feeding_raises():

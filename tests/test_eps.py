@@ -119,6 +119,15 @@ def test_point_free_generators_decode_to_the_empty_set(seed):
         assert [(c.row, c.kind) for c in cons] == [((-1,) + (0,) * dim, ConKind.NONSTRICT)]
 
 
+@pytest.mark.parametrize("kind", [GenKind.RAY, GenKind.LINE])
+def test_directions_alone_give_the_empty_set(kind):
+    # no point, not even a closure point at slack 0, so there is no cone
+    # to start from: the route answers -1 >= 0 with a state holding no rows
+    cons, cone = eps.eps_g2c([Generator((0, 1, 0), kind), Generator((0, 0, 1), GenKind.RAY)])
+    assert [(c.row, c.kind) for c in cons] == [((-1, 0, 0), ConKind.NONSTRICT)]
+    assert not cone.rows and cone.counters.iterations == 0
+
+
 def test_encode_generators_points_carry_a_shadow():
     enc = eps.eps_encode_generators(
         [

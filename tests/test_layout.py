@@ -7,8 +7,9 @@ benchmark tracer times must still exist under its name, the engine keeps
 supports in one representation, int id masks, both engines run their
 pair loops through one adjacency kernel, the direct engine closes every
 face through one helper, every closure walks its columns through one
-function, neither engine keeps a record object per element, and the eps
-engine shares the direct engine's element store but not its step.
+function, neither engine keeps a record object per element, roles change
+and elements go by id mask, never one call per element in a loop, and the
+eps engine shares the direct engine's element store but not its step.
 """
 
 import ast
@@ -191,6 +192,29 @@ def test_eps_shares_only_the_element_store():
     assert phases >= {"process_row", "partition_elems", "combine_adjacent"}
     assert not _calls(tree) & phases
     assert "closed_add_row" in _calls(tree)
+
+
+@pytest.mark.parametrize("name", ["conversion", "eps"])
+def test_role_changes_and_removals_go_by_mask(name):
+    # set_role and drop take an id mask: a call per element inside a loop
+    # would bring back the per-element bookkeeping
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    calls = [
+        (n.func.attr, n.lineno)
+        for loop in ast.walk(_tree(SRC / f"{name}.py"))
+        if isinstance(loop, loops)
+        for n in ast.walk(loop)
+        if isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Attribute)
+        and n.func.attr in ("set_role", "drop")
+    ]
+    assert not calls, f"{name}.py changes roles or drops inside loops: {calls}"
+
+
+def test_saturation_kernel_sorts_no_supports():
+    # supports are sorted against a step's parts by mask tests in the
+    # engine; the kernel keeps no enum of regions
+    assert "Enum" not in _names(_tree(SRC / "satlat.py"))
 
 
 def test_traced_phases_exist():
