@@ -10,7 +10,9 @@ time.  Element behavior depends on a three-way role, not on the side:
 
 An element is its row, kept under its id, and its id's bit in the mask of
 its role; nothing else records the role.  Role changes and removals take
-id masks, one call per step.
+id masks, one call per step.  Once the ids issued outgrow the live
+elements, a step ends by renumbering them 0..n-1 in order, so that every
+mask stays about as wide as the live set.
 
 Every row takes one step (``process_row``).  If the row breaks a
 SINGULAR element, that element is first pivoted into the half the row
@@ -141,17 +143,46 @@ class ConvCtx:
 
     def set_role(self, ids: int, role: Role) -> None:
         """Give every element of the id mask ``ids`` the role."""
+        if not ids:
+            return
         self._leave(ids)
         self._join(ids, role)
 
     def drop(self, ids: int) -> None:
-        """Remove every element of the id mask ``ids``; ids are never
-        reused, so no column needs clearing."""
+        """Remove every element of the id mask ``ids``.  Their bits stay in
+        the saturation columns until the next ``compact_ids``; every column
+        query is masked by live ids."""
+        if not ids:
+            return
         self._leave(ids)
         rows = self.rows
         for eid in bit_indices(ids):
             del rows[eid]
         self.sat.drop(ids)
+
+    def compact_ids(self) -> None:
+        """Renumber the live elements 0..n-1 in id order once more than
+        2n + 64 ids were issued.  The map keeps the order, so dict order,
+        bit order and emission order stay as they were.  Run at step
+        boundaries only: a step's split holds ids."""
+        if self.next_id <= 2 * len(self.rows) + 64:
+            return
+        order = sorted(self.rows)
+        new = {eid: i for i, eid in enumerate(order)}
+
+        def remap(mask: int) -> int:
+            return id_mask(new[eid] for eid in bit_indices(mask))
+
+        self.rows = {i: self.rows[eid] for i, eid in enumerate(order)}
+        self.singular, self.soft, self.hard = map(remap, (self.singular, self.soft, self.hard))
+        self.ns = {remap(ns) for ns in self.ns}
+        self.sat.renumber(order)
+        self.next_id = len(order)
+
+    def pair_bound(self) -> int:
+        """The fewest saturation columns two adjacent elements share:
+        rank - 2, with rank = dim + 1 - #lines (see ``adjacent_pairs``)."""
+        return self.dim - 1 - self.singular.bit_count()
 
     def role_of(self, eid: int) -> Role:
         if self.hard >> eid & 1:
@@ -180,25 +211,6 @@ class ConvCtx:
         # rows are tuples, replaced and never changed; the masks are ints
         sat = self.sat.copy(counters)
         return replace(self, rows=dict(self.rows), sat=sat, ns=set(self.ns), counters=counters)
-
-    @classmethod
-    def build(
-        cls,
-        dim: int,
-        producing: Side,
-        elems: Sequence[tuple[Row, Role]],
-        cols: Sequence[Iterable[int]] = (),
-        ns: Iterable[Iterable[int]] = (),
-    ) -> "ConvCtx":
-        """Assemble a context directly; meant for tests that exercise a
-        single iteration step from a known state."""
-        ctx = cls(dim=dim, producing=producing)
-        for row, role in elems:
-            ctx.add_elem(row, role)
-        for saturating in cols:
-            ctx.sat.add_col(set(saturating) | set(bit_indices(ctx.singular)))
-        ctx.ns = {id_mask(s) for s in ns}
-        return ctx
 
 
 # -- iteration steps ----------------------------------------------------
@@ -231,13 +243,15 @@ def combine_adjacent(ctx: ConvCtx, role: Role, split: _Split) -> list[int]:
     (the AND of the parents; the new column is appended by the caller).  A
     combination is hard when either parent is, unless the row is strict.
     The adjacent positives of each negative element are recorded on the
-    split for ``create_ns``.
+    split for ``create_ns``.  The rank bound counts the lines left after
+    the step's pivot, if any.
     """
     rows, sat, sps, adj = ctx.rows, ctx.sat, split.sps, split.adj
     hard = 0 if role is Role.HARD else ctx.hard
     witnesses = split.pos | split.zero | split.neg
+    pos, neg = bit_indices(split.pos), bit_indices(split.neg)
     new_ids: list[int] = []
-    for p, m in adjacent_pairs(sat, bit_indices(split.pos), bit_indices(split.neg), witnesses):
+    for p, m in adjacent_pairs(sat, pos, neg, witnesses, ctx.pair_bound()):
         adj[m] = adj.get(m, 0) | 1 << p
         combined = combine_with_products(rows[p], rows[m], sps[p], sps[m])
         born = Role.HARD if (hard >> p | hard >> m) & 1 else Role.SOFT
@@ -480,6 +494,7 @@ def process_row(ctx: ConvCtx, row: Row, role: Role) -> None:
     if ctx.rows:
         promote_singletons(ctx)
         ctx.sat.add_col([eid for eid in ctx.rows if split.sps[eid] == 0])
+    ctx.compact_ids()
     ctx.counters.sizes.append(len(ctx.rows) + len(ctx.ns))
 
 

@@ -13,12 +13,13 @@ class OpCounters:
     rows; sat_ops counts bitset operations, each row intersection and
     each column AND of a support closure (adjacency tests included)
     counting 1 regardless of word width, and so does each rank
-    quick-reject of the eps route (the intersection of two rows, then a
-    popcount).  sat_ops is the modelled cost of every closure walked in
-    full: a closure is charged one sat_op per shared column even when its
-    walk stops early because no candidate is left, and a repeated mask
-    (shared columns a pair or face already walked in the same call or
-    step) is skipped and charged as walked, so skipping changes no count.
+    quick-reject of the pair kernel, one per pair offered in either engine
+    (the intersection of two rows, then a popcount).  sat_ops is the
+    modelled cost of every closure walked in full: a closure is charged
+    one sat_op per shared column even when its walk stops early because
+    no candidate is left, and a repeated mask (shared columns a pair or
+    face already walked in the same call or step) is skipped and charged
+    as walked, so skipping changes no count.
     iterations counts processed input rows; pairs_offered counts the
     positive/negative pairs a step hands to the adjacency kernel
     (``satlat.adjacent_pairs``) and pairs_adjacent those it finds

@@ -13,8 +13,8 @@ coordinate: a slack that strict rows must leave positive.
 The counting discipline matches the direct engine (one vec_op per scalar
 product and per linear combination, saturation work and adjacency through
 the same kernel in ``satlat``), so vec_ops of the two routes are
-comparable.  sat_ops here also include the rank quick-reject of the pair
-loop, one per positive/negative pair, which the direct engine does not run.
+comparable.  Both engines' pair loops run the kernel's rank quick-reject,
+charged one sat_op per positive/negative pair offered.
 """
 
 from __future__ import annotations
@@ -84,17 +84,12 @@ def closed_add_row(cone: ConvCtx, row: Row, line: bool) -> None:
         pos = [eid for eid, s in sps.items() if s > 0]
         neg = [eid for eid, s in sps.items() if s < 0]
         if pos or neg:
-            # Rank quick-reject (Fukuda & Prodon 1996), as in PPL: adjacent
-            # rays share at least rank - 2 = (dim + 1 - #lines) - 2 saturated
-            # rows, so a pair sharing fewer skips the closure.
-            need = cone.dim - 1 - lines.bit_count()
             found = 0
-            for p, m in adjacent_pairs(cone.sat, pos, neg, cone.soft, need):
+            for p, m in adjacent_pairs(cone.sat, pos, neg, cone.soft, cone.pair_bound()):
                 combined = combine_with_products(rows[p], rows[m], sps[p], sps[m])
                 eid = cone.add_elem(combined, Role.SOFT, cone.sat.and_rows((p, m)))
                 sps[eid] = 0
                 found += 1
-            cone.counters.sat_ops += len(pos) * len(neg)  # the quick tests
             cone.counters.vec_ops += found
             cone.drop(id_mask(neg + pos if line else neg))
             if not cone.soft:
@@ -105,7 +100,8 @@ def closed_add_row(cone: ConvCtx, row: Row, line: bool) -> None:
                 return
 
     cone.sat.add_col([eid for eid in rows if sps.get(eid, 0) == 0])
-    cone.counters.sizes.append(len(rows))
+    cone.compact_ids()
+    cone.counters.sizes.append(len(cone.rows))
 
 
 def closed_c2g(constraints: Sequence[Constraint], *, dim: int | None = None) -> ConvCtx:

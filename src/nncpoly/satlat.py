@@ -7,16 +7,17 @@ masks (bit e set for element e); the direct engine sorts them against a
 step's parts by mask tests, and the helpers here close and minimize them.
 ``walk`` is the one column walk of a closure:
 ``supp_cl`` closes faces with it, and ``adjacent_pairs``, the pair loop of
-both engines, runs it over every positive/negative pair of a step.  A pair
-whose shared columns repeat an earlier pair's in the call is never
-adjacent, so a repeated mask is skipped and charged as walked (see
-``OpCounters``): skipping moves time and no counter.
+both engines, runs it over every positive/negative pair of a step that
+passes the rank quick-reject.  A pair whose shared columns repeat an
+earlier pair's in the call is never adjacent, so a repeated mask is
+skipped and charged as walked (see ``OpCounters``): skipping moves time
+and no counter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, TypeVar
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 from .counting import OpCounters
 from .errors import EmptySupportError
@@ -30,9 +31,9 @@ class SatMatrix:
 
     ``bits[e]`` has bit c set when element e saturates column c;
     ``cols[c]`` has bit e set for the same pairs.  ``drop`` leaves the
-    dropped ids' bits in ``cols``: this is sound because an id is never
-    reused (there is no way to clear the columns) and every column query
-    is ANDed with a mask of live ids (the candidates of ``walk``).
+    dropped ids' bits in ``cols`` until ``renumber`` rebuilds the columns
+    from the live rows.  Meanwhile no id is issued twice, and every column
+    query is ANDed with a mask of live ids (the candidates of ``walk``).
     """
 
     counters: OpCounters = field(default_factory=OpCounters)
@@ -53,6 +54,16 @@ class SatMatrix:
         bits = self.bits
         for eid in bit_indices(ids):
             del bits[eid]
+
+    def renumber(self, order: Sequence[int]) -> None:
+        """Give the live ids in ``order`` the ids 0, 1, ... in turn.  The
+        rows move to their new ids and the columns are rebuilt from them,
+        so no dropped id is left in ``cols``."""
+        moved = [self.bits[eid] for eid in order]
+        self.bits = {}
+        self.cols = [0] * len(self.cols)
+        for eid, mask in enumerate(moved):
+            self.new_row(eid, mask)
 
     def add_col(self, saturating: Iterable[int]) -> int:
         col = len(self.cols)
@@ -130,12 +141,16 @@ def adjacent_pairs(
     jointly saturate, i.e. the walk of those columns over the other
     witnesses leaves nothing.
 
-    Each pair's rows are ANDed once.  A pair sharing fewer than ``need``
-    columns is skipped uncharged (the caller's rank bound, which it charges
-    itself); any other pair is charged what ``supp_cl`` charges for
-    {p, m}: two rows plus one sat_op per shared column.  Every pair counts
-    in ``pairs_offered``, added at the start, and every yield in
-    ``pairs_adjacent``.
+    Each pair's rows are ANDed once, and the shared columns counted first:
+    the rank quick-reject (Fukuda & Prodon, *Double Description Method
+    Revisited*, 1996), as in PPL.  Adjacent elements share at least
+    rank - 2 saturated columns, with rank = dim + 1 - #lines, so the
+    caller passes that bound as ``need`` and a pair sharing fewer columns
+    is skipped before its walk.  Every pair is charged one sat_op for the
+    quick test, whatever ``need``; a pair that passes it is also charged
+    what ``supp_cl`` charges for {p, m}: two rows plus one sat_op per
+    shared column.  Every pair counts in ``pairs_offered``, added at the
+    start with the quick tests, and every yield in ``pairs_adjacent``.
 
     A repeated mask is skipped and charged as walked: a pair whose shared
     columns repeat an earlier pair's in the call is never adjacent, since
@@ -151,7 +166,9 @@ def adjacent_pairs(
     bits, cols, counters = sat.bits, sat.cols, sat.counters
     pos = list(pos)
     negs = [(m, bits[m], witnesses & ~(1 << m)) for m in neg]
-    counters.pairs_offered += len(pos) * len(negs)
+    offered = len(pos) * len(negs)
+    counters.pairs_offered += offered
+    counters.sat_ops += offered  # the quick tests
     walked: set[int] = set()  # shared columns met so far in the call
     charged = 0
     for p in pos:

@@ -9,14 +9,18 @@ numbers are reproducible run to run.  Three corpora are produced:
   order checks,
 * wider systems past the acceptance bounds, for differential checks.
 
-It also holds fixed generator systems that once exposed engine faults.
+It also holds fixed generator systems that once exposed engine faults, and
+``build_ctx``, which assembles a context mid-run for the step fixtures.
 """
 
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
+from nncpoly.conversion import ConvCtx, Role, Side
 from nncpoly.eps import closed_c2g, closed_constraints, closed_g2c, closed_generators
+from nncpoly.homvec import Row
+from nncpoly.satlat import bit_indices, id_mask
 from nncpoly.systems import ConKind, Constraint, GenKind, Generator
 
 COEFF_RANGE = 5
@@ -168,3 +172,23 @@ CUT_VERTEX_GENS = [
     Generator((1, 1, -2, -1), GenKind.CLOSURE_POINT),
     Generator((1, 3, -2, -1), GenKind.CLOSURE_POINT),
 ]
+
+
+def build_ctx(
+    dim: int,
+    producing: Side,
+    elems: Sequence[tuple[Row, Role]],
+    cols: Sequence[Iterable[int]] = (),
+    ns: Iterable[Iterable[int]] = (),
+) -> ConvCtx:
+    """Assemble a context directly, for tests that exercise a single
+    iteration step from a known state: the elements take ids 0, 1, ... in
+    order, each column lists the ids saturating it (every line saturates
+    each), and each support lists its ids."""
+    ctx = ConvCtx(dim=dim, producing=producing)
+    for row, role in elems:
+        ctx.add_elem(row, role)
+    for saturating in cols:
+        ctx.sat.add_col(set(saturating) | set(bit_indices(ctx.singular)))
+    ctx.ns = {id_mask(s) for s in ns}
+    return ctx

@@ -10,6 +10,7 @@ import random
 import time
 
 from corpus import (
+    build_ctx,
     closed_corpus,
     face_centroid,
     nnc_corpus,
@@ -55,7 +56,7 @@ def _poly_from_gen_ctx(ctx: ConvCtx, dim: int) -> NncPolyhedron:
 
 def _square_ctx(ns):
     """Closure-point square [0,2]^2, one saturation column per facet."""
-    return ConvCtx.build(
+    return build_ctx(
         2,
         Side.GEN,
         elems=[
@@ -128,7 +129,7 @@ def test_criterion_1_worked_examples():
 
     # (e) a doomed closure point's face is recorded as a support seeded by a
     # skeleton point: diamond c0=(0,1), c1=(1,2), c2=(2,1), p=(1,0), cut y<=1
-    ctx = ConvCtx.build(
+    ctx = build_ctx(
         2,
         Side.GEN,
         elems=[

@@ -39,10 +39,10 @@ def test_bench_report_shape():
     rep = bench_dual_hypercube(3)
     assert (rep["new"]["vec_ops"], rep["new"]["max_size"]) == (556, 8)
     assert (rep["eps"]["vec_ops"], rep["eps"]["max_size"]) == (1714, 18)
-    # saturation work: the direct engine's closures and row intersections,
-    # and the eps route's (1600) plus its 666 rank quick tests (one per
-    # positive/negative pair)
-    assert rep["new"]["sat_ops"] == 552
+    # saturation work: each route's closures and row intersections (direct
+    # 492, eps 1600) plus its rank quick tests, one per positive/negative
+    # pair offered (direct 83, eps 666)
+    assert rep["new"]["sat_ops"] == 575
     assert rep["eps"]["sat_ops"] == 2266
     # pairs handed to the adjacency kernel, and those found adjacent (each
     # one combination); the eps route offers every pair, quick test or not

@@ -1,14 +1,16 @@
 """Step-level and end-to-end checks of the dual-role conversion engine.
 
-The step fixtures assemble a context mid-run with ConvCtx.build: a square of
+The step fixtures assemble a context mid-run with build_ctx: a square of
 closure points with one saturation column per facet, plus a recorded
 strictness support, then push one more row through and compare against the
 hand-derived outcome.
 """
 
+import random
+
 import pytest
 
-from corpus import CUT_VERTEX_GENS, nnc_corpus, wide_corpus
+from corpus import CUT_VERTEX_GENS, build_ctx, nnc_corpus, wide_corpus
 from nncpoly import conversion, eps
 from nncpoly.conversion import (
     ConvCtx,
@@ -24,9 +26,10 @@ from nncpoly.conversion import (
     promote_singletons,
     universe_gen_ctx,
 )
+from nncpoly.counting import OpCounters
 from nncpoly.errors import DimensionError, EmptySupportError, EmptySystem, KindError, StaleIdError
 from nncpoly.homvec import scalar_prod
-from nncpoly.satlat import bit_indices, id_mask, mask_ids, minimal_family
+from nncpoly.satlat import SatMatrix, bit_indices, id_mask, mask_ids, minimal_family
 from nncpoly.systems import ConKind, Constraint, GenKind, Generator
 
 
@@ -37,7 +40,7 @@ def supports(ctx):
 
 def square_ctx(ns):
     """Closure-point square [0,2]^2, columns x>=0, y>=0, x<=2, y<=2."""
-    return ConvCtx.build(
+    return build_ctx(
         2,
         Side.GEN,
         elems=[
@@ -96,7 +99,7 @@ def test_create_support_seeded_by_skeleton_point():
     # c2 on the plane, and c1 beyond it.  p and c1 are not adjacent, so no
     # combined element appears; the doomed vertex's face is instead recorded
     # as the support {c0, c2} seeded from the skeleton point.
-    ctx = ConvCtx.build(
+    ctx = build_ctx(
         2,
         Side.GEN,
         elems=[
@@ -120,7 +123,7 @@ def test_create_support_seeded_by_skeleton_point():
 def test_equality_cut_rebuilds_positive_side_supports():
     # the support lies entirely on the positive side of an equality cut;
     # its image on the plane must be re-created, not dropped
-    ctx = ConvCtx.build(
+    ctx = build_ctx(
         2,
         Side.GEN,
         elems=[
@@ -147,7 +150,7 @@ def test_promote_singleton_folds_into_skeleton():
 
 
 def test_rays_never_promote_on_generator_side():
-    ctx = ConvCtx.build(
+    ctx = build_ctx(
         2,
         Side.GEN,
         elems=[((1, 0, 0), Role.HARD), ((0, 1, 0), Role.SOFT)],
@@ -178,12 +181,34 @@ def test_role_changes_and_removals_take_live_id_masks():
     # a dropped id, or one never issued, is stale: the call raises and
     # changes nothing, also for the live ids beside it
     state = (dict(ctx.rows), dict(ctx.sat.bits), ctx.singular, ctx.soft, ctx.hard)
+    ctx.set_role(0, Role.SINGULAR)  # an empty mask changes nothing
+    ctx.drop(0)
+    assert (dict(ctx.rows), dict(ctx.sat.bits), ctx.singular, ctx.soft, ctx.hard) == state
     for stale in (id_mask({1}), id_mask({0, 9})):
         with pytest.raises(StaleIdError):
             ctx.drop(stale)
         with pytest.raises(StaleIdError):
             ctx.set_role(stale, Role.SOFT)
         assert (dict(ctx.rows), dict(ctx.sat.bits), ctx.singular, ctx.soft, ctx.hard) == state
+
+
+def test_compact_ids_keeps_the_order():
+    # once the ids issued outgrow the live elements, the live ones take ids
+    # 0..n-1 in order: rows, saturation rows, roles and supports alike
+    ctx = square_ctx([{1, 3}])
+    ctx.set_role(id_mask({2}), Role.HARD)
+    ctx.drop(id_mask({0}))
+    ctx.compact_ids()
+    assert sorted(ctx.rows) == [1, 2, 3]  # too few ids issued yet
+    for _ in range(70):
+        ctx.drop(1 << ctx.add_elem((1, 1, 1), Role.SOFT))
+    rows, bits = list(ctx.rows.values()), list(ctx.sat.bits.values())
+    ctx.compact_ids()
+    assert list(ctx.rows.items()) == list(enumerate(rows))
+    assert list(ctx.sat.bits.items()) == list(enumerate(bits))
+    assert (ctx.singular, ctx.soft, ctx.hard) == (0, id_mask({0, 2}), id_mask({1}))
+    assert supports(ctx) == {frozenset({0, 2})}
+    assert ctx.next_id == 3 and ctx.add_elem((1, 1, 1), Role.SOFT) == 3
 
 
 @pytest.mark.parametrize("stale", ["line", "dropped"])
@@ -428,6 +453,24 @@ def test_row_order_does_not_change_the_set():
     assert ga == gb
 
 
+def test_shuffled_input_gives_the_same_output():
+    # order invariance: a permutation of the input rows, on either side,
+    # gives the same output set; the generator-order bug once broke this
+    checked = 0
+    for idx, (dim, rows) in enumerate(wide_corpus() + nnc_corpus()[:60]):
+        rng = random.Random(idx)
+        ctx = conversion_c2g(rows, dim=dim)
+        shuffled = conversion_c2g(rng.sample(rows, len(rows)), dim=dim)
+        assert dump_gens(shuffled) == dump_gens(ctx), idx
+        checked += 1
+        gens = emit_generators(ctx)
+        if gens:
+            shuffled = conversion_g2c(rng.sample(gens, len(gens)))
+            assert dump_cons(shuffled) == dump_cons(conversion_g2c(gens)), idx
+            checked += 1
+    assert checked > 100
+
+
 def test_closed_inputs_keep_the_tracker_empty():
     ctx = universe_gen_ctx(2)
     rows = [
@@ -515,15 +558,67 @@ def test_wide_systems_match_the_eps_route():
 def test_wide_g2c_counters_are_pinned():
     # exact work of one dim-6 g2c past the bench's dim 3, so a charge that
     # moves only on wider input still fails here; the counters model the
-    # walks in full: a repeated mask is skipped and charged as walked
+    # walks in full: a repeated mask is skipped and charged as walked, and
+    # every pair offered is charged its rank quick test
     dim, rows = wide_corpus()[10]
     assert dim == 6
     ctx = conversion_g2c(emit_generators(conversion_c2g(rows, dim=dim)))
     c = ctx.counters
-    assert (c.vec_ops, c.sat_ops) == (4202, 196849)
+    assert (c.vec_ops, c.sat_ops) == (4202, 124169)
     assert (c.pairs_offered, c.pairs_adjacent) == (27281, 878)
     assert (c.faces_tried, c.faces_walked, c.faces_kept) == (23238, 3816, 67)
     assert (max(c.sizes), len(ctx.ns)) == (90, 0)
+
+
+def test_wide_g2c_renumbers_without_changing_the_result(monkeypatch):
+    # the dim-6 g2c above issues ids far faster than it keeps elements, so
+    # step boundaries renumber them; the map keeps the order, so the output
+    # and every counter match a run that never renumbers
+    dim, rows = wide_corpus()[10]
+    gens = emit_generators(conversion_c2g(rows, dim=dim))
+    renumber = SatMatrix.renumber
+    renumbered = 0
+
+    def counted(sat, order):
+        nonlocal renumbered
+        renumbered += 1
+        renumber(sat, order)
+
+    monkeypatch.setattr(SatMatrix, "renumber", counted)
+    ctx = conversion_g2c(gens)
+    assert renumbered == 6
+    assert ctx.next_id <= 2 * len(ctx.rows) + 64
+    monkeypatch.setattr(ConvCtx, "compact_ids", lambda ctx: None)
+    sparse = conversion_g2c(gens)
+    assert renumbered == 6 and sparse.next_id > 2 * len(sparse.rows) + 64
+    assert emit_constraints(ctx) == emit_constraints(sparse)
+    assert ctx.counters == sparse.counters
+
+
+def test_rank_quick_reject_drops_no_adjacent_pair(monkeypatch):
+    # the direct engine's counterpart of test_eps's: every pair loop yields,
+    # in order, exactly the pairs the same loop yields with no rank bound
+    kernel = conversion.adjacent_pairs
+    bounded = rejected = 0
+
+    def checked(sat, pos, neg, witnesses, need=0):
+        nonlocal bounded, rejected
+        pos, neg = list(pos), list(neg)
+        want = list(kernel(sat.copy(OpCounters()), pos, neg, witnesses))
+        got = []
+        for pair in kernel(sat, pos, neg, witnesses, need):
+            got.append(pair)
+            yield pair
+        assert got == want
+        bounded += need > 0
+        rejected += sum((sat.bits[p] & sat.bits[m]).bit_count() < need for p in pos for m in neg)
+
+    monkeypatch.setattr(conversion, "adjacent_pairs", checked)
+    for dim, rows in nnc_corpus() + wide_corpus():
+        gens = emit_generators(conversion_c2g(rows, dim=dim))
+        if gens:
+            conversion_g2c(gens)
+    assert bounded > 2000 and rejected > 1_000_000
 
 
 def test_corpus_c2g_counters_are_pinned():
@@ -540,7 +635,7 @@ def test_corpus_c2g_counters_are_pinned():
             totals[key] += getattr(ctx.counters, key)
         peak = max(peak, *ctx.counters.sizes)
         supports_out += len(ctx.ns)
-    assert [totals[k] for k in keys] == [17092, 477970, 87206, 4650]
+    assert [totals[k] for k in keys] == [17092, 190207, 87206, 4650]
     assert [totals[k] for k in faces] == [13913, 3974, 1211]
     assert (peak, supports_out) == (177, 113)
 

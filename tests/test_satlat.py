@@ -69,9 +69,10 @@ def test_and_rows_counts_and_masks():
 def test_adjacent_counts_and_rows_plus_one_op_per_shared_column():
     sat = small_matrix()
     before = sat.counters.sat_ops
-    # rows 1 and 3 share cols 0 and 2; no other row saturates both
+    # rows 1 and 3 share cols 0 and 2; no other row saturates both; the
+    # pair's rank quick test counts one more
     assert adjacent(sat, 1, 3, witnesses=id_mask(range(4)))
-    assert sat.counters.sat_ops == before + 2 + 2
+    assert sat.counters.sat_ops == before + 1 + 2 + 2
 
 
 def test_supp_cl_closes_to_common_saturators():
@@ -160,6 +161,23 @@ def test_mask_closure_matches_row_scan(seed):
     # dropped ids linger in the columns; the live-id mask hides them
     assert stale_seen
     assert early_seen
+
+
+def test_renumber_keeps_the_order_and_clears_dead_ids():
+    # renumbering moves the live rows to ids 0..n-1 in order and rebuilds
+    # the columns from them, so no dropped id's bit is left behind
+    stale_seen = 0
+    for seed in range(8):
+        sat, live = random_state(random.Random(seed))
+        rows = [sat.bits[e] for e in live]
+        ncols = len(sat.cols)
+        stale_seen += any(col & ~id_mask(live) for col in sat.cols)
+        sat.renumber(live)
+        assert list(sat.bits.items()) == list(enumerate(rows))
+        assert len(sat.cols) == ncols
+        check_columns(sat, set(range(len(live))))
+        assert all(col >> len(live) == 0 for col in sat.cols)
+    assert stale_seen
 
 
 def test_clone_leaves_parent_columns_alone():
@@ -272,12 +290,14 @@ def test_adjacent_pairs_match_per_pair_closures(seed):
             sat.new_row(next_id, (1 << ncols) - 1)
             next_id += 1
         assert got == want
-        assert sat.counters.sat_ops == before + charged
+        # one quick test per pair offered, then the closures of those passing
+        assert sat.counters.sat_ops == before + len(pos) * len(neg) + charged
         if need == 0:
             assert got and repeats
             adjacent_at_0 = got
         else:
-            # need drops exactly the pairs sharing fewer columns, uncharged
+            # need drops exactly the pairs sharing fewer columns, charged
+            # their quick test alone
             assert got == [pm for pm in adjacent_at_0 if shared[pm] >= need]
     assert charged == 0
 
