@@ -264,10 +264,10 @@ def combine_adjacent(ctx: ConvCtx, role: Role, split: _Split) -> list[int]:
 
 
 def _close_and_keep(
-    ctx: ConvCtx, split: _Split, seeds: Iterable[list[int]], exts: Sequence[int] | None = None
+    ctx: ConvCtx, split: _Split, seeds: Iterable[int], exts: Sequence[int] | None = None
 ) -> set[int]:
     """Close faces over the candidates and keep each closure's part on the
-    kept side of the new row: every seed (its member ids) stretched by each
+    kept side of the new row: every seed (an id mask) stretched by each
     extension id it lacks, or every seed alone without extensions.  The one
     place where the engine closes a face.
 
@@ -276,8 +276,8 @@ def _close_and_keep(
     one ``nonredundant_union``, so a repeated mask is skipped.  A face whose
     kept part is empty or holds an element that ends the step hard is
     dropped at once: ``nonredundant_union`` would drop it anyway.  Every
-    closure, walked or skipped, is charged as ``supp_cl`` charges its walk:
-    one sat_op per member row and per shared column.
+    closure, walked or skipped, is charged one sat_op per member row and
+    per shared column.
     """
     sat = ctx.sat
     bits, cols = sat.bits, sat.cols
@@ -285,14 +285,16 @@ def _close_and_keep(
     out: set[int] = set()
     ops = tried = kept = 0
     before = len(faces)
-    for ids in seeds:
+    for seed in seeds:
         base = -1
-        for i in ids:
+        for i in bit_indices(seed):
             base &= bits[i]
+        rows = seed.bit_count()
         if exts is None:
-            shared, rows = [base], len(ids)
+            shared = [base]
         else:
-            shared, rows = [base & bits[s] for s in exts if s not in ids], len(ids) + 1
+            shared = [base & bits[s] for s in exts if not seed >> s & 1]
+            rows += 1
         tried += len(shared)
         for common in shared:
             ops += rows + common.bit_count()
@@ -314,7 +316,7 @@ def _close_and_keep(
 def move_ns(ctx: ConvCtx, split: _Split) -> set[int]:
     """Reattach supports that straddle the new row to the kept side."""
     pos, neg = split.pos, split.neg
-    mixed = [list(bit_indices(ns)) for ns in ctx.ns if ns & pos and ns & neg]
+    mixed = [ns for ns in ctx.ns if ns & pos and ns & neg]
     return _close_and_keep(ctx, split, mixed) if mixed else set()
 
 
@@ -324,10 +326,7 @@ def enumerate_faces(ctx: ConvCtx, seeds: Sequence[int], extensions: int, split: 
     row."""
     if not extensions or not seeds:
         return set()
-    # member ids as short lists: a seed's rows AND faster that way than by
-    # walking the bits of a mask as wide as every id ever issued
-    members = [list(bit_indices(seed)) for seed in seeds]
-    return _close_and_keep(ctx, split, members, list(bit_indices(extensions)))
+    return _close_and_keep(ctx, split, seeds, list(bit_indices(extensions)))
 
 
 def _seeds(ctx: ConvCtx, hard: int, meet: int, miss: int) -> list[int]:

@@ -162,30 +162,6 @@ def closed_constraints(cone: ConvCtx) -> list[Constraint]:
     return out
 
 
-def minimal_cone_rows(
-    lines: Sequence[Row], rays: Sequence[Row], width: int
-) -> tuple[list[Row], list[Row]]:
-    """Minimal double description of the cone spanned by the given rows:
-    convert to the constraint side and back.  Needs at least one position
-    row among the rays.  Returns (line rows, ray rows)."""
-    pos_idx = next((i for i, r in enumerate(rays) if r[0] > 0), None)
-    if pos_idx is None:
-        raise EmptySystem("minimal form needs a position row")
-    rest = list(rays)
-    first = rest.pop(pos_idx)
-    cone = closed_point_base(Generator(first, GenKind.POINT))
-    for l in lines:
-        closed_add_row(cone, l, True)
-    for r in rest:
-        closed_add_row(cone, r, False)
-    back = closed_universe(width - 1)
-    for eid in sorted(cone.rows):
-        closed_add_row(back, cone.rows[eid], bool(cone.singular >> eid & 1))
-    min_lines = [back.rows[i] for i in bit_indices(back.singular)]
-    min_rays = [back.rows[i] for i in bit_indices(back.soft)]
-    return min_lines, min_rays
-
-
 # -- strictness via one extra coordinate ---------------------------------
 
 

@@ -92,8 +92,17 @@ def eliminate(keep: Sequence[int], pivot: Sequence[int], sk: int, sv: int) -> Ro
 
 
 def rational_point_row(coords: Iterable[Fraction | int]) -> Row:
-    """Homogeneous integer row (d, d*x1, .., d*xn) for a rational point."""
-    fracs = [Fraction(x) for x in coords]
+    """Homogeneous integer row (d, d*x1, .., d*xn) for a rational point.
+
+    The one coordinate check for points, as ``check_vector`` is for rows:
+    each coordinate is an int (not a bool) or a Fraction.  A float is
+    refused, not read at its binary value.
+    """
+    fracs = []
+    for x in coords:
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+            raise InvalidVector(f"non-rational coordinate {x!r}")
+        fracs.append(Fraction(x))
     d = 1
     for f in fracs:
         d = d * f.denominator // gcd(d, f.denominator)

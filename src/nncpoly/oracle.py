@@ -2,10 +2,10 @@
 
 Everything here is exact and exponential in the worst case: rational
 feasibility by Fourier-Motzkin elimination, membership in the set a
-generator system or a support family describes, skeleton extraction, and
-brute-force enumeration of faces and face supports.  Tests use these as
-independent references, and ``alpha``/``gamma`` relate support families to
-the point sets they describe.  One guard bounds the sizes they accept.
+generator system or a support family describes, and brute-force
+enumeration of face supports.  Tests use these as independent references,
+and ``alpha``/``gamma`` relate support families to the point sets they
+describe.  One guard bounds the sizes they accept.
 """
 
 from __future__ import annotations
@@ -14,13 +14,13 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .eps import minimal_cone_rows
-from .errors import DimensionError, EmptySystem, InvalidVector, ScaleLimitExceeded
+from .errors import InvalidVector, ScaleLimitExceeded
 from .homvec import Row, rational_point_row, scalar_prod
 from .systems import ConKind, Constraint, GenKind, Generator, con_contains
 
 # Desk-scale bounds: ambient dimension, skeleton elements and input rows of
-# the brute-force helpers, and rows alive during one Fourier-Motzkin step.
+# the brute-force face supports, and rows alive during one Fourier-Motzkin
+# step.
 _LIMITS = {"dim": 3, "skeleton": 8, "rows": 10, "fm_rows": 20000}
 
 
@@ -178,15 +178,6 @@ def hom_member(
 # -- generator systems -------------------------------------------------------
 
 
-def check_same_dim(items: Iterable[Constraint | Generator]) -> int:
-    dims = {it.dim for it in items}
-    if not dims:
-        raise EmptySystem("no rows")
-    if len(dims) > 1:
-        raise DimensionError(f"mixed dimensions {sorted(dims)}")
-    return dims.pop()
-
-
 def _split_rows(gens: Iterable[Generator]) -> tuple[list[Row], list[Row], list[int]]:
     """Rows grouped for cone membership: (lines, nonneg rows, point indices).
 
@@ -224,81 +215,7 @@ def gen_contains(gens: Sequence[Generator], point: Sequence[Fraction | int]) -> 
     return hom_member(lines, nonneg, rational_point_row(point), positive_group=set(point_idx))
 
 
-def extract_skeleton(gens: Sequence[Generator]) -> tuple[list[Generator], list[Generator]]:
-    """Split a generator system into its skeleton and the leftover points.
-
-    The skeleton is the minimal subsystem describing the topological
-    closure: lines, rays, and the closure-point hull of full.gen(gens),
-    with input points that are skeleton elements kept as skeleton points.
-    Returns (skeleton, residual_points); residual points are input points
-    that are redundant for the closure (interior points, or duplicates of a
-    closure point's position).
-    """
-    if not gens:
-        raise EmptySystem("cannot extract a skeleton from no generators")
-    check_same_dim(gens)
-
-    lines = [g.row for g in gens if g.kind is GenKind.LINE]
-    rays = [g.row for g in gens if g.kind is not GenKind.LINE]
-    min_lines, min_rays = minimal_cone_rows(lines, rays, len(gens[0].row))
-
-    cp_rows = {g.row for g in gens if g.kind is GenKind.CLOSURE_POINT}
-    keep_rows = set(min_rays)
-    skeleton: list[Generator] = [Generator(r, GenKind.LINE) for r in min_lines]
-    for r in sorted(keep_rows):
-        if r[0] == 0:
-            skeleton.append(Generator(r, GenKind.RAY))
-        elif r in cp_rows:
-            skeleton.append(Generator(r, GenKind.CLOSURE_POINT))
-        else:
-            skeleton.append(Generator(r, GenKind.POINT))
-    residual = [
-        g
-        for g in gens
-        if g.kind is GenKind.POINT and (g.row not in keep_rows or g.row in cp_rows)
-    ]
-    return skeleton, residual
-
-
 # -- faces and support families ----------------------------------------------
-
-
-def enumerate_faces_bruteforce(constraints: Sequence[Constraint]) -> set[frozenset[int]]:
-    """Nonempty faces of the closed polyhedron, each named by the full set of
-    row indices it saturates."""
-    cs = list(constraints)
-    if not cs:
-        raise EmptySystem("no rows")
-    _guard(dim=cs[0].dim, rows=len(cs))
-    nvars = cs[0].dim
-    base = []
-    for c in cs:
-        rel = "eq" if c.kind is ConKind.EQUALITY else "ge"
-        base.append(
-            (tuple(Fraction(a) for a in c.row[1:]), Fraction(c.row[0]), rel)
-        )
-
-    faces: set[frozenset[int]] = set()
-    idx = range(len(cs))
-    for k in range(len(cs) + 1):
-        for combo in combinations(idx, k):
-            forced = set(combo)
-            rows = [
-                (coeffs, const, "eq" if i in forced else rel)
-                for i, (coeffs, const, rel) in enumerate(base)
-            ]
-            if not feasible(rows, nvars):
-                continue
-            # a row is part of the face's name iff it cannot leave zero there
-            closure = set(forced)
-            for j in idx:
-                if j in closure:
-                    continue
-                coeffs, const, _ = base[j]
-                if not feasible(rows + [(coeffs, const, "gt")], nvars):
-                    closure.add(j)
-            faces.add(frozenset(closure))
-    return faces
 
 
 def face_supports(

@@ -6,12 +6,14 @@ non-skeleton strictness marks are sets of element ids, stored as int id
 masks (bit e set for element e); the direct engine sorts them against a
 step's parts by mask tests, and the helpers here close and minimize them.
 ``walk`` is the one column walk of a closure:
-``supp_cl`` closes faces with it, and ``adjacent_pairs``, the pair loop of
-both engines, runs it over every positive/negative pair of a step that
-passes the rank quick-reject.  A pair whose shared columns repeat an
+the direct engine closes faces with it, and ``adjacent_pairs``, the pair
+loop of both engines, runs it over every positive/negative pair of a step
+that passes the rank quick-reject.  A pair whose shared columns repeat an
 earlier pair's in the call is never adjacent, so a repeated mask is
 skipped and charged as walked (see ``OpCounters``): skipping moves time
-and no counter.
+and no counter.  ``supp_cl`` and ``adjacent`` are reference definitions of
+one closure and one pair test: no engine calls them, tests compare the
+engines' batched loops with them, and the benchmark tracer binds them.
 """
 
 from __future__ import annotations
@@ -126,7 +128,8 @@ def walk(cols: list[int], cands: int, common: int) -> int:
 def supp_cl(sat: SatMatrix, members: Iterable[int], candidates: int) -> int:
     """Saturation closure of a support, as an id mask: the candidates that
     saturate every column the members jointly saturate.  Each shared column
-    counts one sat_op, also those the walk skips."""
+    counts one sat_op, also those the walk skips.  A reference definition:
+    the direct engine closes its faces in ``conversion._close_and_keep``."""
     common = sat.and_rows(members)
     sat.counters.sat_ops += common.bit_count()
     return walk(sat.cols, candidates, common)
@@ -192,7 +195,8 @@ def adjacent_pairs(
 
 
 def adjacent(sat: SatMatrix, a: int, b: int, witnesses: int) -> bool:
-    """Whether one pair is adjacent: ``adjacent_pairs`` on {a} x {b}."""
+    """Whether one pair is adjacent: ``adjacent_pairs`` on {a} x {b}.  A
+    reference definition: both engines call ``adjacent_pairs`` once a step."""
     return any(adjacent_pairs(sat, (a,), (b,), witnesses))
 
 

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from corpus import nnc_corpus
-from nncpoly import eps, oracle
+from nncpoly import eps
 from nncpoly.errors import EmptySystem, KindError
 from nncpoly.homvec import combine_with_products, scalar_prod
 from nncpoly.satlat import adjacent, bit_indices, id_mask
@@ -51,12 +51,6 @@ def test_closed_engine_rejects_nnc_rows():
         eps.closed_g2c([Generator((1, 1), GenKind.CLOSURE_POINT)])
     with pytest.raises(EmptySystem):
         eps.closed_g2c([Generator((0, 1), GenKind.RAY)])
-
-
-def test_minimal_cone_rows_drops_redundant_ray():
-    lines, rays = eps.minimal_cone_rows([], [(1, 1, 0), (1, 3, 0), (1, 2, 0)], 3)
-    assert lines == []
-    assert sorted(rays) == [(1, 1, 0), (1, 3, 0)]
 
 
 def test_encode_constraints_appends_slack_column():
@@ -185,29 +179,6 @@ def test_roundtrip_through_the_slack_route():
         ((-1, 1), "NONSTRICT"),
         ((3, -1), "STRICT"),
     ]
-
-
-def test_bruteforce_face_enumeration():
-    # closure faces named by their saturated row sets
-    faces = oracle.enumerate_faces_bruteforce(
-        [
-            Constraint((-1, 1), ConKind.NONSTRICT),
-            Constraint((3, -1), ConKind.STRICT),
-        ]
-    )
-    assert faces == {frozenset(), frozenset({0}), frozenset({1})}
-
-    tri = oracle.enumerate_faces_bruteforce(
-        [
-            Constraint((0, 1, 0), ConKind.NONSTRICT),
-            Constraint((0, 0, 1), ConKind.NONSTRICT),
-            Constraint((2, -1, -1), ConKind.STRICT),
-        ]
-    )
-    assert tri == {
-        frozenset(s)
-        for s in ([], [0], [1], [2], [0, 1], [0, 2], [1, 2])
-    }
 
 
 def test_counting_matches_the_direct_engine_on_closed_input():

@@ -1,21 +1,25 @@
 """Module layering of the library, read from the source with ``ast``.
 
-The runtime core must not reach the exponential desk-scale oracles or the
-independent eps route, and no module may hide an import inside a function
-(such imports are how import cycles get papered over).  Every phase the
-benchmark tracer times must still exist under its name, the engine keeps
-supports in one representation, int id masks, both engines run their
-pair loops through one adjacency kernel, the direct engine closes every
-face through one helper, every closure walks its columns through one
-function, neither engine keeps a record object per element, roles change
-and elements go by id mask, never one call per element in a loop, and the
-eps engine shares the direct engine's element store but not its step.
+The runtime core must not reach the exponential desk-scale oracles or
+the independent eps route, the oracles build on neither engine, and no
+module may hide an import inside a function (such imports are how import
+cycles get papered over).  Every phase the benchmark tracer times must
+still exist under its name, the engine keeps supports in one
+representation, int id masks, both engines run their pair loops through
+one adjacency kernel, the direct engine closes every face through one
+helper, every closure walks its columns through one function, neither
+engine keeps a record object per element, roles change and elements go
+by id mask, never one call per element in a loop, and the eps engine
+shares the direct engine's element store but not its step.
 """
 
 import ast
 import dataclasses
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,6 +56,26 @@ def _imported(tree: ast.Module) -> set[str]:
 @pytest.mark.parametrize("name", RUNTIME)
 def test_runtime_modules_import_no_oracle(name):
     assert not _imported(_tree(SRC / f"{name}.py")) & {"oracle", "eps"}
+
+
+def test_oracle_imports_neither_engine():
+    # the desk-scale references judge the direct engine and the eps route,
+    # so they must not be built from either
+    assert not _imported(_tree(SRC / "oracle.py")) & {"eps", "conversion"}
+
+
+def test_importing_the_package_leaves_the_eps_route_unloaded():
+    # the eps route is a reference for tests, the CLI's check and the bench;
+    # a library user who imports nncpoly does not load it
+    code = "import sys, nncpoly; print('nncpoly.eps' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_saturation_kernel_imports_only_counting_and_errors():

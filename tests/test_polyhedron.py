@@ -5,7 +5,8 @@ import pytest
 
 from nncpoly import ConKind, Constraint, GenKind, Generator, NncPolyhedron
 from nncpoly.conversion import close_generators, emit_generators
-from nncpoly.errors import DimensionError, EmptySystem
+from nncpoly.errors import DimensionError, EmptySystem, InvalidVector
+from nncpoly.oracle import full_gen_contains, gen_contains
 from nncpoly.systems import con_contains
 
 from corpus import CUT_VERTEX_GENS, nnc_corpus, wide_corpus
@@ -242,6 +243,57 @@ def test_closure_contains_what_the_relaxed_constraints_hold():
             assert closed.contains_point(x) == con_contains(relaxed, x), (rows, x)
             checked += 1
     assert checked > 2000
+
+
+def test_membership_matches_the_generator_oracles():
+    # c2g, then g2c and closure of its output, judged by exact membership
+    # against the input rows and the Fourier-Motzkin generator oracles,
+    # not through includes/equals.  The generator bound keeps the oracles
+    # at desk scale: one query on the 14 generators of nnc_corpus()[6]
+    # takes tens of seconds.
+    rng = random.Random(17)
+    systems = checked = 0
+    for dim, rows in nnc_corpus():
+        if dim > 3:
+            continue
+        gens = NncPolyhedron.from_constraints(rows, dim=dim).generators()
+        if not gens or len(gens) > 7:
+            continue
+        systems += 1
+        poly = NncPolyhedron.from_generators(gens)
+        closed = poly.closure()
+        spots = [
+            [Fraction(a, g.row[0]) for a in g.row[1:]]
+            for g in gens
+            if g.kind in (GenKind.POINT, GenKind.CLOSURE_POINT)
+        ]
+        xs = spots + [
+            [(a + b) / 2 for a, b in zip(rng.choice(spots), rng.choice(spots))]
+            for _ in range(6)
+        ]
+        xs += [[Fraction(rng.randint(-12, 12), 2) for _ in range(dim)] for _ in range(4)]
+        for x in xs:
+            inside = con_contains(rows, x)
+            assert gen_contains(gens, x) == inside, (rows, x)
+            assert poly.contains_point(x) == inside, (rows, x)
+            assert closed.contains_point(x) == full_gen_contains(gens, x), (rows, x)
+            checked += 1
+    assert systems == 92
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("bad", [0.1, True, float("nan"), float("inf"), "1", None])
+def test_contains_point_takes_only_ints_and_fractions(bad):
+    # 1 - 10x >= 0 holds at x = 1/10 but not at the float nearest to it;
+    # a float would be read at its binary value, a bool as 0 or 1
+    p = NncPolyhedron.from_constraints([Constraint((1, -10), ConKind.NONSTRICT)])
+    assert p.contains_point([Fraction(1, 10)])
+    with pytest.raises(InvalidVector):
+        p.contains_point([bad])
+    with pytest.raises(InvalidVector):
+        con_contains(p.constraints(), [bad])
+    with pytest.raises(InvalidVector):
+        gen_contains(p.generators(), [bad])
 
 
 def test_intersect():

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from nncpoly import oracle
-from nncpoly.errors import DimensionError, InvalidVector, ScaleLimitExceeded
-from nncpoly.oracle import check_same_dim, extract_skeleton, full_gen_contains, gen_contains
+from nncpoly.errors import InvalidVector, ScaleLimitExceeded
+from nncpoly.oracle import full_gen_contains, gen_contains
 from nncpoly.systems import ConKind, Constraint, GenKind, Generator, con_contains
 
 
@@ -56,13 +56,10 @@ def test_non_integer_entries_rejected_at_the_boundary(bad):
             Generator(row, kind)
 
 
-def test_dim_property_and_check_same_dim():
+def test_dim_property():
     c = Constraint((1, 2), ConKind.NONSTRICT)
     g = Generator((1, 2, 3), GenKind.POINT)
     assert c.dim == 1 and g.dim == 2
-    with pytest.raises(DimensionError):
-        check_same_dim([c, g])
-    assert check_same_dim([g, Generator((0, 0, 1), GenKind.RAY)]) == 2
 
 
 def test_con_contains_respects_strictness():
@@ -101,31 +98,6 @@ def test_gen_contains_with_rays():
     ]
     assert gen_contains(gens, [5, 5])
     assert not gen_contains(gens, [5, 4])
-
-
-def test_extract_skeleton_drops_interior_point():
-    square = [
-        Generator((1, 0, 0), GenKind.POINT),
-        Generator((1, 2, 0), GenKind.POINT),
-        Generator((1, 2, 2), GenKind.POINT),
-        Generator((1, 0, 2), GenKind.POINT),
-        Generator((1, 1, 1), GenKind.POINT),
-    ]
-    skel, residual = extract_skeleton(square)
-    assert {g.row for g in skel} == {(1, 0, 0), (1, 2, 0), (1, 2, 2), (1, 0, 2)}
-    assert [g.row for g in residual] == [(1, 1, 1)]
-
-
-def test_extract_skeleton_prefers_closure_point_on_ties():
-    gens = [
-        Generator((1, 0), GenKind.POINT),
-        Generator((1, 0), GenKind.CLOSURE_POINT),
-        Generator((1, 2), GenKind.POINT),
-    ]
-    skel, residual = extract_skeleton(gens)
-    kinds = {g.row: g.kind for g in skel}
-    assert kinds[(1, 0)] is GenKind.CLOSURE_POINT
-    assert [g.row for g in residual] == [(1, 0)]
 
 
 def test_fourier_motzkin_guard_stops_the_step_it_overflows(monkeypatch):
