@@ -15,7 +15,6 @@ from .errors import (
     StaleIdError,
 )
 from .formats import emit_ext, emit_ine, parse_ext, parse_ine
-from .oracle import alpha, gamma
 from .polyhedron import NncPolyhedron
 from .satlat import minimal_family
 from .systems import ConKind, Constraint, Generator, GenKind
@@ -26,8 +25,6 @@ __all__ = [
     "GenKind",
     "Generator",
     "NncPolyhedron",
-    "alpha",
-    "gamma",
     "minimal_family",
     "parse_ine",
     "parse_ext",

@@ -268,14 +268,15 @@ def _close_and_keep(
 ) -> set[int]:
     """Close faces over the candidates and keep each closure's part on the
     kept side of the new row: every seed (an id mask) stretched by each
-    extension id it lacks, or every seed alone without extensions.  The one
-    place where the engine closes a face.
+    extension id, or every seed alone without extensions.  The one place
+    where the engine closes a face.  Callers draw seeds and extensions from
+    disjoint parts of the step, so no seed holds an extension.
 
     A seed's rows are ANDed once.  Equal shared columns give equal faces,
     and the first walk of the step already returned its face to the step's
     one ``nonredundant_union``, so a repeated mask is skipped.  A face whose
-    kept part is empty or holds an element that ends the step hard is
-    dropped at once: ``nonredundant_union`` would drop it anyway.  Every
+    kept part is empty (which would empty the union) or holds an element
+    that ends the step hard is dropped, so supports are born soft.  Every
     closure, walked or skipped, is charged one sat_op per member row and
     per shared column.
     """
@@ -293,7 +294,7 @@ def _close_and_keep(
         if exts is None:
             shared = [base]
         else:
-            shared = [base & bits[s] for s in exts if not seed >> s & 1]
+            shared = [base & bits[s] for s in exts]
             rows += 1
         tried += len(shared)
         for common in shared:
@@ -323,7 +324,7 @@ def move_ns(ctx: ConvCtx, split: _Split) -> set[int]:
 def enumerate_faces(ctx: ConvCtx, seeds: Sequence[int], extensions: int, split: _Split) -> set[int]:
     """Supports of faces reached by stretching each seed with one soft
     element (a bit of the ``extensions`` mask) from the far side of the new
-    row."""
+    row; no seed meets ``extensions``."""
     if not extensions or not seeds:
         return set()
     return _close_and_keep(ctx, split, seeds, list(bit_indices(extensions)))
@@ -372,11 +373,10 @@ def promote_singletons(ctx: ConvCtx) -> None:
     """A single-element support means that element itself is included, so
     fold it into the skeleton as a hard element.
 
-    The family must be an antichain, as every step leaves it: then no other
-    support contains a promoted element, and none needs dropping."""
-    singles = [ns for ns in ctx.ns if not ns & (ns - 1) and ns & ctx.soft]
-    if ctx.producing is Side.GEN:  # a lone ray is no point: it stays a support
-        singles = [ns for ns in singles if ctx.rows[ns.bit_length() - 1][0] != 0]
+    The family is an antichain of soft supports, as every step leaves it,
+    so no other support holds a promoted element.  Each generator-side one
+    holds a point-like element, so no lone ray is ever a singleton."""
+    singles = [ns for ns in ctx.ns if not ns & (ns - 1)]
     if singles:
         ctx.set_role(sum(singles), Role.HARD)  # distinct bits: the sum is their union
         ctx.ns.difference_update(singles)
@@ -464,12 +464,12 @@ def _regular(ctx: ConvCtx, role: Role, split: _Split) -> None:
 
     ctx.drop(doomed)
     left = split.cands & ~doomed  # every live non-singular element
+    # no family meets a hard element: kept ones come in soft and no element
+    # turned hard, and new faces lie in split.keep and miss split.dead
     if moved or created:
-        ctx.ns = nonredundant_union(kept, moved, created, hard=ctx.hard & left)
+        ctx.ns = nonredundant_union(kept, moved, created)
     else:
-        # kept is part of the incoming family, which is already minimal and
-        # free of hard elements, and no existing element turned hard
-        ctx.ns = kept
+        ctx.ns = kept  # part of a minimal family, so minimal
 
     if not left:
         if ctx.producing is Side.CON:
@@ -623,15 +623,13 @@ def materialize_support(ctx: ConvCtx, ns: int) -> Row:
 def emit_generators(ctx: ConvCtx) -> list[Generator]:
     """External view of a generator-side context.  Each support turns into
     one point in the relative interior of its face; a system that ends up
-    without any point denotes the empty set and comes back empty."""
+    without any point denotes the empty set and comes back empty.  No row
+    repeats: skeleton rows are distinct extreme rays, and a support's point
+    lies inside a face of two or more."""
     if ctx.producing is not Side.GEN:
         raise KindError("not a generator-producing context")
     rows = ctx.rows
-    lines = [rows[i] for i in bit_indices(ctx.singular)]
     pts = [rows[i] for i in bit_indices(ctx.hard)]
-    soft = [rows[i] for i in bit_indices(ctx.soft)]
-    rays = [r for r in soft if r[0] == 0]
-    cps = [r for r in soft if r[0] != 0]
     for ns in _ordered(ctx.ns):
         filler = materialize_support(ctx, ns)
         if filler[0] <= 0:
@@ -639,35 +637,28 @@ def emit_generators(ctx: ConvCtx) -> list[Generator]:
         pts.append(filler)
     if not pts:
         return []
-    out = [Generator(r, GenKind.LINE) for r in dict.fromkeys(lines)]
-    out += [Generator(r, GenKind.RAY) for r in dict.fromkeys(rays)]
-    pt_set = dict.fromkeys(pts)
-    out += [Generator(r, GenKind.CLOSURE_POINT) for r in dict.fromkeys(cps) if r not in pt_set]
-    out += [Generator(r, GenKind.POINT) for r in pt_set]
+    soft = [rows[i] for i in bit_indices(ctx.soft)]
+    out = [Generator(rows[i], GenKind.LINE) for i in bit_indices(ctx.singular)]
+    out += [Generator(r, GenKind.RAY) for r in soft if r[0] == 0]
+    out += [Generator(r, GenKind.CLOSURE_POINT) for r in soft if r[0] != 0]
+    out += [Generator(r, GenKind.POINT) for r in pts]
     return out
 
 
 def emit_constraints(ctx: ConvCtx) -> list[Constraint]:
     """External view of a constraint-side context.  Supports materialize as
     strict rows (their member sum); rows parallel to positivity are
-    tautological and stay internal."""
+    tautological and stay internal.  Elements come out in id order, which is
+    dict order; no row repeats, as in ``emit_generators``."""
     if ctx.producing is not Side.CON:
         raise KindError("not a constraint-producing context")
     out: list[Constraint] = []
-    seen: set[tuple[Row, ConKind]] = set()
-
-    def push(row: Row, kind: ConKind) -> None:
-        if kind is not ConKind.EQUALITY and _tautology(row):
-            return
-        key = (row, kind)
-        if key not in seen:
-            seen.add(key)
+    for eid, row in ctx.rows.items():
+        kind = ROLE_CON[ctx.role_of(eid)]
+        if kind is ConKind.EQUALITY or not _tautology(row):
             out.append(Constraint(row, kind))
-
-    for eid in sorted(ctx.rows):
-        push(ctx.rows[eid], ROLE_CON[ctx.role_of(eid)])
-    for ns in _ordered(ctx.ns):
-        push(materialize_support(ctx, ns), ConKind.STRICT)
+    fillers = (materialize_support(ctx, ns) for ns in _ordered(ctx.ns))
+    out += [Constraint(row, ConKind.STRICT) for row in fillers if not _tautology(row)]
     return out
 
 

@@ -200,11 +200,12 @@ def adjacent(sat: SatMatrix, a: int, b: int, witnesses: int) -> bool:
     return any(adjacent_pairs(sat, (a,), (b,), witnesses))
 
 
-def nonredundant_union(*families: Iterable[int], hard: int) -> set[int]:
-    """Union of support families (id masks), dropping supports that touch a
-    hard (point-like / strict-like) element and supports that include
-    another support."""
-    return minimal_family(ns for fam in families for ns in fam if ns and not ns & hard)
+def nonredundant_union(*families: Iterable[int]) -> set[int]:
+    """Union of support families (id masks), dropping supports that include
+    another support: the step's one union, named apart from
+    ``minimal_family`` so that it can be timed on its own.  Its families
+    hold no empty support and none that touches a hard element."""
+    return minimal_family(ns for fam in families for ns in fam)
 
 
 def minimal_family(family: Iterable[Support]) -> set[Support]:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -45,7 +46,7 @@ def test_convert_roundtrips_through_files(tmp_path):
     from nncpoly import NncPolyhedron, parse_ine
 
     a = NncPolyhedron.from_constraints(*parse_ine(BOX_INE))
-    b = NncPolyhedron.from_constraints(*parse_ine(open(ine2).read()))
+    b = NncPolyhedron.from_constraints(*parse_ine(Path(ine2).read_text()))
     assert a.equals(b)
 
 
@@ -100,12 +101,21 @@ def test_check_v_side_with_oracle(tmp_path, capsys):
         "V-representation\nclosure 1 1\nbegin\n 2 3 integer\n 1 1 2\n 0 1 -1\nend\n",
         "V-representation\nbegin\n 1 3 integer\n 0 1 0\nend\n",
         "V-representation\nlinearity 1 1\nbegin\n 1 3 integer\n 0 1 0\nend\n",
+        "V-representation\nbegin\n 0 3 integer\nend\n",
     ],
-    ids=["closure-point", "closure-point-and-ray", "ray-only", "line-only"],
+    ids=["closure-point", "closure-point-and-ray", "ray-only", "line-only", "no-rows"],
 )
 def test_check_oracle_on_a_v_file_without_points(tmp_path, capsys, text):
     # the set is empty, and the slack route must say so too
     src = write(tmp_path, "nopoint.ext", text)
+    assert main(["check", src, "--oracle", "eps"]) == 0
+    assert "oracle(eps): PASS" in capsys.readouterr().out
+
+
+def test_check_oracle_on_an_h_file_without_rows(tmp_path, capsys):
+    # no row leaves the whole plane, which the check takes without the
+    # slack route
+    src = write(tmp_path, "none.ine", "H-representation\nbegin\n 0 3 integer\nend\n")
     assert main(["check", src, "--oracle", "eps"]) == 0
     assert "oracle(eps): PASS" in capsys.readouterr().out
 

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from corpus import CUT_VERTEX_GENS, build_ctx, nnc_corpus, wide_corpus
+from corpus import CUT_VERTEX_GENS, build_ctx, closed_corpus, nnc_corpus, wide_corpus
 from nncpoly import conversion, eps
 from nncpoly.conversion import (
     ConvCtx,
@@ -22,6 +22,7 @@ from nncpoly.conversion import (
     conversion_g2c,
     emit_constraints,
     emit_generators,
+    init_con_ctx,
     process_row,
     promote_singletons,
     universe_gen_ctx,
@@ -147,19 +148,6 @@ def test_promote_singleton_folds_into_skeleton():
     promote_singletons(ctx)
     assert ctx.role_of(0) is Role.HARD
     assert supports(ctx) == {frozenset({1, 2})}
-
-
-def test_rays_never_promote_on_generator_side():
-    ctx = build_ctx(
-        2,
-        Side.GEN,
-        elems=[((1, 0, 0), Role.HARD), ((0, 1, 0), Role.SOFT)],
-        cols=[{1}],
-        ns=[{1}],
-    )
-    promote_singletons(ctx)
-    assert ctx.role_of(1) is Role.SOFT
-    assert supports(ctx) == {frozenset({1})}
 
 
 def test_singletons_promote_together():
@@ -497,32 +485,55 @@ def test_incremental_equals_one_shot():
     assert dump_gens(staged) == dump_gens(one_shot)
 
 
-def test_every_step_leaves_a_minimal_soft_family(monkeypatch):
-    # a step that moves and creates nothing keeps the incoming supports
-    # without a union; that is sound only while every step leaves the
-    # family an antichain that meets no hard element
-    step = conversion.process_row
-    steps = 0
+def test_every_step_keeps_the_engine_invariants(monkeypatch):
+    # The step checks none of these itself; each is the reason a check was
+    # left out:
+    # * the role masks are the one record of roles: every live element has
+    #   exactly one, and no dropped element keeps one;
+    # * ids ascend in dict order, so emission order needs no sort;
+    # * the supports form an antichain of soft pairs or larger, so a step
+    #   that moves and creates nothing keeps them without a union, the union
+    #   filters no hard element, and promotion reads only singletons;
+    # * on the generator side every support holds a point-like element, so
+    #   no lone ray is ever a singleton, and every filler is a point;
+    # * no face enumeration stretches a seed by one of its own members;
+    # * so no emitted system repeats a row.
+    step, faces = conversion.process_row, conversion.enumerate_faces
+    steps = calls = 0
 
-    def checked(ctx, row, role):
+    def checked_step(ctx, row, role):
         nonlocal steps
         step(ctx, row, role)
         steps += 1
-        assert ctx.ns == minimal_family(ctx.ns)
-        assert not any(ns & ctx.hard for ns in ctx.ns)
-        # the role masks are the one record of roles: every live element
-        # has exactly one, and no dropped element keeps one
         assert not ctx.singular & ctx.soft
         assert not ctx.singular & ctx.hard
         assert not ctx.soft & ctx.hard
         assert ctx.singular | ctx.soft | ctx.hard == id_mask(ctx.rows)
+        assert list(ctx.rows) == sorted(ctx.rows)
+        assert ctx.ns == minimal_family(ctx.ns)
+        for ns in ctx.ns:
+            assert ns.bit_count() >= 2 and ns & ctx.soft == ns
+            if ctx.producing is Side.GEN:
+                assert any(ctx.rows[e][0] != 0 for e in bit_indices(ns))
 
-    monkeypatch.setattr(conversion, "process_row", checked)
-    for dim, rows in nnc_corpus() + wide_corpus():
+    def checked_faces(ctx, seeds, extensions, split):
+        nonlocal calls
+        calls += 1
+        assert not any(seed & extensions for seed in seeds)
+        return faces(ctx, seeds, extensions, split)
+
+    def distinct(system):
+        rows = [x.row for x in system]
+        assert len(set(rows)) == len(rows)
+
+    monkeypatch.setattr(conversion, "process_row", checked_step)
+    monkeypatch.setattr(conversion, "enumerate_faces", checked_faces)
+    for dim, rows in nnc_corpus() + closed_corpus() + wide_corpus():
         gens = emit_generators(conversion_c2g(rows, dim=dim))
+        distinct(gens)
         if gens:
-            conversion_g2c(gens)
-    assert steps > 1000
+            distinct(emit_constraints(conversion_g2c(gens)))
+    assert steps > 4000 and calls > 20000
 
 
 def gens_within(gens, cons):
@@ -644,9 +655,15 @@ def test_wrong_side_feeding_raises():
     gen_ctx = universe_gen_ctx(2)
     with pytest.raises(KindError):
         add_generator(gen_ctx, Generator((1, 0, 0), GenKind.POINT))
+    with pytest.raises(KindError):
+        emit_constraints(gen_ctx)
     con_ctx = conversion_g2c([Generator((1, 0), GenKind.POINT)])
     with pytest.raises(KindError):
         add_constraint(con_ctx, Constraint((0, 1), ConKind.NONSTRICT))
+    with pytest.raises(KindError):
+        emit_generators(con_ctx)
+    with pytest.raises(KindError):
+        init_con_ctx(Generator((1, 0), GenKind.CLOSURE_POINT))
 
 
 def test_dimension_mismatch_raises():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from nncpoly import ConKind, Constraint, GenKind, Generator, NncPolyhedron
-from nncpoly.conversion import close_generators, emit_generators
+from nncpoly.conversion import close_generators, emit_generators, universe_gen_ctx
 from nncpoly.errors import DimensionError, EmptySystem, InvalidVector
 from nncpoly.oracle import full_gen_contains, gen_contains
 from nncpoly.systems import con_contains
@@ -32,6 +32,8 @@ OPEN_SQUARE_CS = [
 def test_needs_positive_dimension():
     with pytest.raises(DimensionError):
         NncPolyhedron.universe(0)
+    with pytest.raises(DimensionError):
+        NncPolyhedron(0, gen_ctx=universe_gen_ctx(1))
 
 
 def test_needs_a_context():
@@ -61,6 +63,10 @@ def test_mixed_dimensions_rejected():
         NncPolyhedron.from_constraints(
             [Constraint((1, 1), ConKind.NONSTRICT), Constraint((1, 1, 0), ConKind.NONSTRICT)]
         )
+    line, plane = NncPolyhedron.universe(1), NncPolyhedron.universe(2)
+    for op in (NncPolyhedron.includes, NncPolyhedron.intersect, NncPolyhedron.poly_hull):
+        with pytest.raises(DimensionError):
+            op(line, plane)
 
 
 def test_contains_point():

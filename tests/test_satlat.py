@@ -349,14 +349,12 @@ def test_step_face_closures_skip_walked_masks(seed):
         returned.update(got)
         return fresh, skipped
 
-    seeds = [id_mask(rng.sample(members, rng.randint(1, 3))) for _ in range(5)]
-    exts = id_mask(rng.sample(members, min(6, len(members))))
-    stretched = [
-        list(bit_indices(seed)) + [s]
-        for seed in seeds
-        for s in bit_indices(exts)
-        if not seed >> s & 1
-    ]
+    # as in the engine, seeds and extensions come from disjoint parts
+    part = rng.sample(members, len(members) // 2)
+    far = [e for e in members if e not in part]
+    seeds = [id_mask(rng.sample(part, rng.randint(1, 3))) for _ in range(5)]
+    exts = id_mask(rng.sample(far, min(6, len(far))))
+    stretched = [list(bit_indices(seed)) + [s] for seed in seeds for s in bit_indices(exts)]
     fresh, _ = check(lambda: enumerate_faces(ctx, seeds, exts, split), stretched)
     assert len(fresh) < len(stretched)  # some masks repeat within the call
     # moved supports close alone on the same split; one of them is a
@@ -378,11 +376,11 @@ def test_adjacent_blocked_by_witness():
     assert adjacent(sat, 0, 1, witnesses=id_mask([0, 1, 2]))
 
 
-def test_nonredundant_union_drops_hard_and_supersets():
+def test_nonredundant_union_drops_supersets():
     fam1 = {id_mask({1, 2}), id_mask({1, 2, 3})}
-    fam2 = {id_mask({4, 5})}
-    out = nonredundant_union(fam1, fam2, hard=id_mask({5}))
-    assert {mask_ids(ns) for ns in out} == {frozenset({1, 2})}
+    fam2 = {id_mask({4, 5}), id_mask({2, 1})}
+    out = nonredundant_union(fam1, fam2)
+    assert {mask_ids(ns) for ns in out} == {frozenset({1, 2}), frozenset({4, 5})}
 
 
 SQUARE_SKEL = [

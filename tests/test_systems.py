@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from nncpoly import oracle
-from nncpoly.errors import InvalidVector, ScaleLimitExceeded
+from nncpoly.errors import DimensionError, InvalidVector, ScaleLimitExceeded
 from nncpoly.oracle import full_gen_contains, gen_contains
 from nncpoly.systems import ConKind, Constraint, GenKind, Generator, con_contains
 
@@ -77,6 +77,11 @@ def test_con_contains_equality():
     cs = [Constraint((0, 1, -1), ConKind.EQUALITY)]  # x = y
     assert con_contains(cs, [2, 2])
     assert not con_contains(cs, [2, 1])
+
+
+def test_con_contains_rejects_a_point_of_another_dimension():
+    with pytest.raises(DimensionError):
+        con_contains([Constraint((0, 1, -1), ConKind.EQUALITY)], [2])
 
 
 def test_full_gen_contains_is_the_closure_test():
