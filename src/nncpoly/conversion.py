@@ -114,13 +114,33 @@ class ConvCtx:
 
     # -- element bookkeeping --------------------------------------------
 
-    def add_elem(self, row: Row, role: Role, satrow: int = 0) -> int:
+    def add_elem(self, row: Row, role: Role) -> int:
+        """Add one element that saturates no column yet, as the starting
+        contexts do; a step enters its combinations with ``add_combined``."""
         eid = self.next_id
         self.next_id += 1
         self.rows[eid] = row
         self._join(1 << eid, role)
-        self.sat.new_row(eid, satrow)
+        self.sat.new_row(eid)
         return eid
+
+    def add_combined(self, rows: list[Row], masks: list[int], hard: int = 0) -> int:
+        """Enter a step's combinations as one id block from ``next_id`` up,
+        with their saturation rows; the i-th is HARD when bit i of ``hard``
+        is set and SOFT otherwise.  Each is charged its linear combination
+        (1 vec_op) and its parents' row AND (2 sat_ops).  Returns the
+        block's id mask."""
+        first, n = self.next_id, len(rows)
+        self.next_id = first + n
+        self.rows.update(zip(range(first, first + n), rows))
+        block = ((1 << n) - 1) << first
+        hard <<= first
+        self.hard |= hard
+        self.soft |= block ^ hard
+        self.sat.new_rows(first, masks)
+        self.counters.vec_ops += n
+        self.counters.sat_ops += 2 * n
+        return block
 
     def _join(self, ids: int, role: Role) -> None:
         # an if-chain, not a dict keyed by Role: Enum hashing is a Python call
@@ -239,28 +259,32 @@ def partition_elems(ctx: ConvCtx, row: Row) -> _Split:
 def combine_adjacent(ctx: ConvCtx, role: Role, split: _Split) -> list[int]:
     """Combine every adjacent positive/negative pair onto the new hyperplane.
 
-    New elements join the zero part with an eagerly computed saturation row
-    (the AND of the parents; the new column is appended by the caller).  A
-    combination is hard when either parent is, unless the row is strict.
-    The adjacent positives of each negative element are recorded on the
-    split for ``create_ns``.  The rank bound counts the lines left after
-    the step's pivot, if any.
+    The combinations join the zero part as one id block, each with the
+    shared columns of its parents as its saturation row (the new column is
+    appended by the caller).  A combination is hard when either parent is,
+    unless the row is strict.  The adjacent positives of each negative
+    element are recorded on the split for ``create_ns``.  The rank bound
+    counts the lines left after the step's pivot, if any.
     """
-    rows, sat, sps, adj = ctx.rows, ctx.sat, split.sps, split.adj
+    rows, sps, adj = ctx.rows, split.sps, split.adj
     hard = 0 if role is Role.HARD else ctx.hard
     witnesses = split.pos | split.zero | split.neg
     pos, neg = bit_indices(split.pos), bit_indices(split.neg)
-    new_ids: list[int] = []
-    for p, m in adjacent_pairs(sat, pos, neg, witnesses, ctx.pair_bound()):
+    pairs = adjacent_pairs(ctx.sat, pos, neg, witnesses, ctx.pair_bound())
+    if not pairs:
+        return []
+    combined = []
+    born_hard = 0
+    for i, (p, m, _) in enumerate(pairs):
         adj[m] = adj.get(m, 0) | 1 << p
-        combined = combine_with_products(rows[p], rows[m], sps[p], sps[m])
-        born = Role.HARD if (hard >> p | hard >> m) & 1 else Role.SOFT
-        eid = ctx.add_elem(combined, born, sat.and_rows((p, m)))
-        split.zero |= 1 << eid
-        sps[eid] = 0
-        new_ids.append(eid)
-    ctx.counters.vec_ops += len(new_ids)
-    return new_ids
+        combined.append(combine_with_products(rows[p], rows[m], sps[p], sps[m]))
+        if (hard >> p | hard >> m) & 1:
+            born_hard |= 1 << i
+    first = ctx.next_id
+    split.zero |= ctx.add_combined(combined, [common for _, _, common in pairs], born_hard)
+    new_ids = range(first, ctx.next_id)
+    sps.update(dict.fromkeys(new_ids, 0))
+    return list(new_ids)
 
 
 def _close_and_keep(

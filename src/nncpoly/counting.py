@@ -14,7 +14,11 @@ class OpCounters:
     each column AND of a support closure (adjacency tests included)
     counting 1 regardless of word width, and so does each rank
     quick-reject of the pair kernel, one per pair offered in either engine
-    (the intersection of two rows, then a popcount).  sat_ops is the
+    (the intersection of two rows, then a popcount).  A combination's
+    saturation row is its parents' row intersection, which the pair kernel
+    returns with the pair; its 2 sat_ops, like the combination's vec_op,
+    are charged when ``ConvCtx.add_combined`` enters a step's combinations
+    in both engines.  sat_ops is the
     modelled cost of every closure walked in full: a closure is charged
     one sat_op per shared column even when its walk stops early because
     no candidate is left, and a repeated mask (shared columns a pair or

@@ -84,13 +84,11 @@ def closed_add_row(cone: ConvCtx, row: Row, line: bool) -> None:
         pos = [eid for eid, s in sps.items() if s > 0]
         neg = [eid for eid, s in sps.items() if s < 0]
         if pos or neg:
-            found = 0
-            for p, m in adjacent_pairs(cone.sat, pos, neg, cone.soft, cone.pair_bound()):
-                combined = combine_with_products(rows[p], rows[m], sps[p], sps[m])
-                eid = cone.add_elem(combined, Role.SOFT, cone.sat.and_rows((p, m)))
-                sps[eid] = 0
-                found += 1
-            cone.counters.vec_ops += found
+            pairs = adjacent_pairs(cone.sat, pos, neg, cone.soft, cone.pair_bound())
+            cone.add_combined(
+                [combine_with_products(rows[p], rows[m], sps[p], sps[m]) for p, m, _ in pairs],
+                [common for _, _, common in pairs],
+            )
             cone.drop(id_mask(neg + pos if line else neg))
             if not cone.soft:
                 if cone.producing is Side.CON:

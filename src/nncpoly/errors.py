@@ -15,8 +15,8 @@ class DimensionError(NncPolyError):
 
 class CombineError(NncPolyError):
     """A combination was asked of rows whose scalar products cannot cancel:
-    ``combine_with_products`` needs opposite signs, ``eliminate`` a nonzero
-    pivot product."""
+    ``combine_with_products`` needs opposite signs and a nonzero result,
+    ``eliminate`` a nonzero pivot product."""
 
 
 class KindError(NncPolyError):

@@ -122,7 +122,9 @@ def parse_ine(text: str) -> tuple[list[Constraint], int]:
     strict = sets.get("strict", set())
     overlap = linearity & strict
     if overlap:
-        raise ParseError(f"rows {sorted(overlap)} marked both linearity and strict")
+        raise ParseError(
+            f"rows {sorted(overlap)} marked both linearity and strict", rows[min(overlap) - 1][0]
+        )
     out = []
     for i, (lineno, vals) in enumerate(rows, start=1):
         if i in linearity:
@@ -145,7 +147,9 @@ def parse_ext(text: str) -> tuple[list[Generator], int]:
     closure = sets.get("closure", set())
     overlap = linearity & closure
     if overlap:
-        raise ParseError(f"rows {sorted(overlap)} marked both linearity and closure")
+        raise ParseError(
+            f"rows {sorted(overlap)} marked both linearity and closure", rows[min(overlap) - 1][0]
+        )
     out = []
     for i, (lineno, vals) in enumerate(rows, start=1):
         if vals[0] < 0:

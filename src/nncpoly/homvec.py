@@ -75,10 +75,16 @@ def scalar_prod(c: Sequence[int], g: Sequence[int]) -> int:
 def combine_with_products(gp: Sequence[int], gm: Sequence[int], sp: int, sm: int) -> Row:
     """Nonnegative combination of gp (product sp > 0) and gm (product sm < 0)
     that lands exactly on the hyperplane of the row the products were taken
-    against.  Returns the gcd-normalized result."""
+    against.  Returns the gcd-normalized result, as ``normalize`` would,
+    without its checks: the rows are the engine's own.  An all-zero result
+    (an antiparallel pair) is refused."""
     if sp <= 0 or sm >= 0:
         raise CombineError(f"need opposite product signs, got {sp} and {sm}")
-    return normalize(tuple([(-sm) * a + sp * b for a, b in zip(gp, gm)]))
+    out = [-sm * a + sp * b for a, b in zip(gp, gm)]
+    g = gcd(*out)
+    if g == 0:
+        raise CombineError("the combination is the zero row")
+    return tuple(out) if g == 1 else tuple([x // g for x in out])
 
 
 def eliminate(keep: Sequence[int], pivot: Sequence[int], sk: int, sv: int) -> Row:

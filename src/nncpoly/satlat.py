@@ -8,12 +8,15 @@ step's parts by mask tests, and the helpers here close and minimize them.
 ``walk`` is the one column walk of a closure:
 the direct engine closes faces with it, and ``adjacent_pairs``, the pair
 loop of both engines, runs it over every positive/negative pair of a step
-that passes the rank quick-reject.  A pair whose shared columns repeat an
-earlier pair's in the call is never adjacent, so a repeated mask is
-skipped and charged as walked (see ``OpCounters``): skipping moves time
-and no counter.  ``supp_cl`` and ``adjacent`` are reference definitions of
-one closure and one pair test: no engine calls them, tests compare the
-engines' batched loops with them, and the benchmark tracer binds them.
+that passes the rank quick-reject, and returns each adjacent pair with its
+shared columns, which are the saturation row of the pair's combination.
+A pair whose shared columns repeat an earlier pair's in the call is never
+adjacent, so a repeated mask is skipped and charged as walked (see
+``OpCounters``): skipping moves time and no counter.  ``new_rows`` enters
+a step's combinations as one id block.  ``supp_cl`` and ``adjacent`` are
+reference definitions of one closure and one pair test: no engine calls
+them, tests compare the engines' batched loops with them, and the
+benchmark tracer binds them.
 """
 
 from __future__ import annotations
@@ -43,13 +46,18 @@ class SatMatrix:
     cols: list[int] = field(default_factory=list)
 
     def new_row(self, eid: int, mask: int = 0) -> None:
-        self.bits[eid] = mask
-        bit = 1 << eid
-        cols = self.cols
-        while mask:
-            low = mask & -mask
-            cols[low.bit_length() - 1] |= bit
-            mask ^= low
+        self.new_rows(eid, (mask,))
+
+    def new_rows(self, first: int, masks: Iterable[int]) -> None:
+        """Rows for the ids first, first + 1, ... in turn: one id block."""
+        bits, cols = self.bits, self.cols
+        for eid, mask in enumerate(masks, start=first):
+            bits[eid] = mask
+            bit = 1 << eid
+            while mask:
+                low = mask & -mask
+                cols[low.bit_length() - 1] |= bit
+                mask ^= low
 
     def drop(self, ids: int) -> None:
         """Forget the rows of the ids in the mask ``ids``."""
@@ -64,8 +72,7 @@ class SatMatrix:
         moved = [self.bits[eid] for eid in order]
         self.bits = {}
         self.cols = [0] * len(self.cols)
-        for eid, mask in enumerate(moved):
-            self.new_row(eid, mask)
+        self.new_rows(0, moved)
 
     def add_col(self, saturating: Iterable[int]) -> int:
         col = len(self.cols)
@@ -137,11 +144,12 @@ def supp_cl(sat: SatMatrix, members: Iterable[int], candidates: int) -> int:
 
 def adjacent_pairs(
     sat: SatMatrix, pos: Iterable[int], neg: Iterable[int], witnesses: int, need: int = 0
-) -> Iterator[tuple[int, int]]:
+) -> list[tuple[int, int, int]]:
     """The combinatorially adjacent pairs of a step, p-major in the order
-    given: (p, m) is adjacent when no witness but p and m (an id mask of
-    live elements holding every p and m) saturates every column the two
-    jointly saturate, i.e. the walk of those columns over the other
+    given, each as (p, m, common) with ``common`` the mask of the columns
+    the two jointly saturate: (p, m) is adjacent when no witness but p and
+    m (an id mask of live elements holding every p and m) saturates every
+    column of ``common``, i.e. the walk of those columns over the other
     witnesses leaves nothing.
 
     Each pair's rows are ANDed once, and the shared columns counted first:
@@ -152,28 +160,21 @@ def adjacent_pairs(
     is skipped before its walk.  Every pair is charged one sat_op for the
     quick test, whatever ``need``; a pair that passes it is also charged
     what ``supp_cl`` charges for {p, m}: two rows plus one sat_op per
-    shared column.  Every pair counts in ``pairs_offered``, added at the
-    start with the quick tests, and every yield in ``pairs_adjacent``.
+    shared column.  Every pair counts in ``pairs_offered`` and every pair
+    returned in ``pairs_adjacent``.
 
     A repeated mask is skipped and charged as walked: a pair whose shared
     columns repeat an earlier pair's in the call is never adjacent, since
     the earlier pair's elements saturate those columns and at least one of
-    them is a witness other than p and m.  The charges are tallied locally
-    and added before each yield and at the end.
-
-    The caller may add rows while it iterates (``combine_adjacent`` adds
-    each combination at once): the candidates of every walk are masked by
-    the witnesses fixed at the start, so the new ids that ``new_row`` sets
-    in the columns never count.
+    them is a witness other than p and m.
     """
     bits, cols, counters = sat.bits, sat.cols, sat.counters
     pos = list(pos)
     negs = [(m, bits[m], witnesses & ~(1 << m)) for m in neg]
     offered = len(pos) * len(negs)
-    counters.pairs_offered += offered
-    counters.sat_ops += offered  # the quick tests
     walked: set[int] = set()  # shared columns met so far in the call
-    charged = 0
+    charged = offered  # the quick tests
+    out = []
     for p in pos:
         bp = bits[p]
         notp = ~(1 << p)
@@ -187,11 +188,11 @@ def adjacent_pairs(
                 continue
             walked.add(common)
             if not walk(cols, others & notp, common):
-                counters.sat_ops += charged
-                counters.pairs_adjacent += 1
-                charged = 0
-                yield p, m
+                out.append((p, m, common))
+    counters.pairs_offered += offered
+    counters.pairs_adjacent += len(out)
     counters.sat_ops += charged
+    return out
 
 
 def adjacent(sat: SatMatrix, a: int, b: int, witnesses: int) -> bool:

@@ -497,9 +497,15 @@ def test_every_step_keeps_the_engine_invariants(monkeypatch):
     # * on the generator side every support holds a point-like element, so
     #   no lone ray is ever a singleton, and every filler is a point;
     # * no face enumeration stretches a seed by one of its own members;
-    # * so no emitted system repeats a row.
+    # * so no emitted system repeats a row;
+    # * a step's combinations take the ids [first, next_id) in pair order,
+    #   all in the zero part, each with its parents' shared columns as its
+    #   saturation row, and hard exactly when a parent is and the row is
+    #   not strict.
     step, faces = conversion.process_row, conversion.enumerate_faces
-    steps = calls = 0
+    combine, kernel = conversion.combine_adjacent, conversion.adjacent_pairs
+    steps = calls = combined = 0
+    pairs = []
 
     def checked_step(ctx, row, role):
         nonlocal steps
@@ -522,18 +528,40 @@ def test_every_step_keeps_the_engine_invariants(monkeypatch):
         assert not any(seed & extensions for seed in seeds)
         return faces(ctx, seeds, extensions, split)
 
+    def recorded_pairs(*args):
+        pairs[:] = kernel(*args)
+        return pairs
+
+    def checked_combine(ctx, role, split):
+        nonlocal combined
+        first, hard = ctx.next_id, ctx.hard
+        bits = dict(ctx.sat.bits)
+        new_ids = combine(ctx, role, split)
+        assert new_ids == list(range(first, ctx.next_id))
+        assert len(new_ids) == len(pairs)
+        block = id_mask(new_ids)
+        assert split.zero & block == block
+        for eid, (p, m, _) in zip(new_ids, pairs):
+            assert ctx.sat.bits[eid] == bits[p] & bits[m]
+            born_hard = role is not Role.HARD and (hard >> p | hard >> m) & 1
+            assert ctx.role_of(eid) is (Role.HARD if born_hard else Role.SOFT)
+        combined += len(new_ids)
+        return new_ids
+
     def distinct(system):
         rows = [x.row for x in system]
         assert len(set(rows)) == len(rows)
 
     monkeypatch.setattr(conversion, "process_row", checked_step)
     monkeypatch.setattr(conversion, "enumerate_faces", checked_faces)
+    monkeypatch.setattr(conversion, "combine_adjacent", checked_combine)
+    monkeypatch.setattr(conversion, "adjacent_pairs", recorded_pairs)
     for dim, rows in nnc_corpus() + closed_corpus() + wide_corpus():
         gens = emit_generators(conversion_c2g(rows, dim=dim))
         distinct(gens)
         if gens:
             distinct(emit_constraints(conversion_g2c(gens)))
-    assert steps > 4000 and calls > 20000
+    assert steps > 4000 and calls > 20000 and combined > 10000
 
 
 def gens_within(gens, cons):
@@ -607,22 +635,22 @@ def test_wide_g2c_renumbers_without_changing_the_result(monkeypatch):
 
 
 def test_rank_quick_reject_drops_no_adjacent_pair(monkeypatch):
-    # the direct engine's counterpart of test_eps's: every pair loop yields,
-    # in order, exactly the pairs the same loop yields with no rank bound
+    # the direct engine's counterpart of test_eps's: every pair loop returns,
+    # in order, exactly the pairs the same loop returns with no rank bound,
+    # each with the columns its rows share
     kernel = conversion.adjacent_pairs
     bounded = rejected = 0
 
     def checked(sat, pos, neg, witnesses, need=0):
         nonlocal bounded, rejected
         pos, neg = list(pos), list(neg)
-        want = list(kernel(sat.copy(OpCounters()), pos, neg, witnesses))
-        got = []
-        for pair in kernel(sat, pos, neg, witnesses, need):
-            got.append(pair)
-            yield pair
+        want = kernel(sat.copy(OpCounters()), pos, neg, witnesses)
+        got = kernel(sat, pos, neg, witnesses, need)
         assert got == want
+        assert all(common == sat.bits[p] & sat.bits[m] for p, m, common in got)
         bounded += need > 0
         rejected += sum((sat.bits[p] & sat.bits[m]).bit_count() < need for p in pos for m in neg)
+        return got
 
     monkeypatch.setattr(conversion, "adjacent_pairs", checked)
     for dim, rows in nnc_corpus() + wide_corpus():

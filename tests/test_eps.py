@@ -223,9 +223,15 @@ def random_closed_system(rng: random.Random, dim: int) -> list[Constraint]:
 def test_rank_quick_reject_drops_no_adjacent_pair(monkeypatch, seed):
     """At every step with a pair loop, each pair the unfiltered scan finds
     adjacent shares at least rank - 2 saturated rows, and the filtered step
-    combines exactly the pairs of the unfiltered scan, in order."""
-    step = eps.closed_add_row
+    combines exactly the pairs of the unfiltered scan, in order, each with
+    the columns its rows share as its saturation row."""
+    step, kernel = eps.closed_add_row, eps.adjacent_pairs
     rejected = 0
+
+    def shared_columns_kept(sat, pos, neg, witnesses, need=0):
+        pairs = kernel(sat, pos, neg, witnesses, need)
+        assert all(common == sat.bits[p] & sat.bits[m] for p, m, common in pairs)
+        return pairs
 
     def reference_scan(cone, row, line):
         nonlocal rejected
@@ -246,11 +252,18 @@ def test_rank_quick_reject_drops_no_adjacent_pair(monkeypatch, seed):
             combine_with_products(cone.rows[p], cone.rows[m], sps[p], sps[m])
             for p, m in pairs
         ]
+        commons = [bits[p] & bits[m] for p, m in pairs]
         first = cone.next_id
         step(cone, row, line)
         assert [cone.rows[eid] for eid in range(first, cone.next_id)] == want
+        # the new column is the last bit: the row saturates every combination
+        top = 1 << len(cone.sat.cols) - 1
+        assert [cone.sat.bits[eid] for eid in range(first, cone.next_id)] == [
+            common | top for common in commons
+        ]
 
     monkeypatch.setattr(eps, "closed_add_row", reference_scan)
+    monkeypatch.setattr(eps, "adjacent_pairs", shared_columns_kept)
     rng = random.Random(seed)
     for dim in (2, 3, 4, 5):
         cone = eps.closed_c2g(random_closed_system(rng, dim))

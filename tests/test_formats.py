@@ -112,6 +112,12 @@ def test_empty_ext_parses_to_no_generators():
         ("H-representation\nbegin\n -1 2 integer\nend\n", 3),
         ("H-representation\nbegin\n 1 3 integer\n 1 1\nend\n", 4),
         ("H-representation\nbegin\n 1 2 integer\n 1 1\n 2 2\nend\n", 5),
+        # two marker lines clash: the lowest row marked twice gives the line
+        (
+            "H-representation\nlinearity 2 3 2\nstrict 2 2 3\nbegin\n 3 2 integer\n"
+            " 1 1\n 1 0\n 0 1\nend\n",
+            7,
+        ),
     ],
 )
 def test_parse_ine_errors_carry_line_numbers(text, lineno):
@@ -140,8 +146,8 @@ def test_overlapping_markers():
         ("V-representation\nbegin\n 2 3 integer\n 1 0 0\n 0 0 0\nend\n", 5),
         ("V-representation\nlinearity 1 1\nbegin\n 1 2 integer\n 1 1\nend\n", 5),
         ("V-representation\nclosure 1 1\nbegin\n 1 2 integer\n 0 1\nend\n", 5),
-        # two marker lines clash, and the message names the rows, not a line
-        ("V-representation\nlinearity 1 1\nclosure 1 1\nbegin\n 1 2 integer\n 0 1\nend\n", None),
+        # two marker lines clash: the lowest row marked twice gives the line
+        ("V-representation\nlinearity 1 1\nclosure 1 1\nbegin\n 1 2 integer\n 0 1\nend\n", 6),
     ],
 )
 def test_parse_ext_errors_carry_line_numbers(text, lineno):

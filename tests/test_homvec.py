@@ -75,6 +75,9 @@ def test_combine_requires_opposite_signs():
         combine_with_products((1, 0), (1, 4), 2, 2)
     with pytest.raises(CombineError):
         combine_with_products((1, 4), (1, 0), 0, -1)
+    # an antiparallel pair combines to the zero row, which is refused
+    with pytest.raises(CombineError):
+        combine_with_products((1, 1), (-1, -1), 1, -1)
 
 
 def test_eliminate_zeroes_pivot_product():
@@ -121,7 +124,7 @@ def test_combine_saturates_the_cutting_row(c, gp, gm):
         return
     out = combine_with_products(tuple(gp), tuple(gm), sp, sm)
     assert scalar_prod(c, out) == 0
-    assert any(out)
+    assert out == normalize(tuple(-sm * a + sp * b for a, b in zip(gp, gm)))
 
 
 def gcd_loop_normalize(vec, bidirectional=False):

@@ -57,6 +57,28 @@ def test_satmatrix_rows_and_cols():
     assert set(sat.bits) == {1, 3}
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_new_rows_matches_repeated_new_row(seed):
+    # one block of rows, some of them empty, lands as the same rows and
+    # columns as adding each in turn, also on a matrix whose columns
+    # already hold earlier and dropped ids
+    rng = random.Random(seed)
+    sat, live = random_state(rng)
+    ncols = len(sat.cols)
+    issued = max([max(sat.bits) + 1] + [col.bit_length() for col in sat.cols])
+    first = issued + rng.randint(0, 3)
+    masks = [rng.getrandbits(ncols) if rng.random() < 0.7 else 0 for _ in range(rng.randint(0, 40))]
+    masks.insert(rng.randint(0, len(masks)), 0)
+    one_by_one = sat.copy(sat.counters)
+    for eid, mask in enumerate(masks, start=first):
+        one_by_one.new_row(eid, mask)
+    sat.new_rows(first, masks)
+    assert sat.bits == one_by_one.bits
+    assert list(sat.bits) == list(one_by_one.bits)
+    assert sat.cols == one_by_one.cols
+    check_columns(sat, set(live) | set(range(first, first + len(masks))))
+
+
 def test_and_rows_counts_and_masks():
     sat = small_matrix()
     before = sat.counters.sat_ops
@@ -280,18 +302,19 @@ def test_adjacent_pairs_match_per_pair_closures(seed):
                     assert closure, (p, m)
                     repeats += 1
                 seen.add(common)
-        # the kernel, with a row added per pair found as combine_adjacent
-        # does; one that saturates every column would block every later
-        # pair if it counted as a witness
+        # the kernel; each pair comes with the columns its rows share
         before = sat.counters.sat_ops
-        got = []
-        for p, m in adjacent_pairs(sat, pos, neg, witnesses, need):
-            got.append((p, m))
-            sat.new_row(next_id, (1 << ncols) - 1)
-            next_id += 1
-        assert got == want
+        found = adjacent_pairs(sat, pos, neg, witnesses, need)
         # one quick test per pair offered, then the closures of those passing
         assert sat.counters.sat_ops == before + len(pos) * len(neg) + charged
+        got = [(p, m) for p, m, _ in found]
+        assert got == want
+        assert all(common == sat.bits[p] & sat.bits[m] for p, m, common in found)
+        # a row added per pair found, as combine_adjacent does, is no
+        # witness of a later call: one that saturates every column would
+        # block every pair if it counted
+        sat.new_rows(next_id, [(1 << ncols) - 1] * len(found))
+        next_id += len(found)
         if need == 0:
             assert got and repeats
             adjacent_at_0 = got
