@@ -693,3 +693,15 @@ def atoms(ctx: ConvCtx) -> list[tuple[Row, ...]]:
     out = [(ctx.rows[i],) for i in bit_indices(ctx.hard)]
     out += [tuple(ctx.row_of(i) for i in bit_indices(ns)) for ns in _ordered(ctx.ns)]
     return out
+
+
+def skeleton(ctx: ConvCtx) -> tuple[list[Row], list[Row]]:
+    """The skeleton rows split by role: the singular ones (lines or
+    equalities), then the rest, each in id order.  Supports are left out:
+    their rows are sums of skeleton rows."""
+    singular = ctx.singular
+    sing: list[Row] = []
+    rest: list[Row] = []
+    for eid, row in ctx.rows.items():
+        (sing if singular >> eid & 1 else rest).append(row)
+    return sing, rest

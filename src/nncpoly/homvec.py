@@ -11,7 +11,7 @@ such rows, so exactness here is exactness everywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -98,18 +98,21 @@ def eliminate(keep: Sequence[int], pivot: Sequence[int], sk: int, sv: int) -> Ro
 
 
 def rational_point_row(coords: Iterable[Fraction | int]) -> Row:
-    """Homogeneous integer row (d, d*x1, .., d*xn) for a rational point.
+    """Homogeneous integer row (d, d*x1, .., d*xn) for a rational point,
+    where d is the lcm of the coordinates' denominators.
 
     The one coordinate check for points, as ``check_vector`` is for rows:
     each coordinate is an int (not a bool) or a Fraction.  A float is
-    refused, not read at its binary value.
+    refused, not read at its binary value.  The row comes from numerators
+    and denominators alone, with no Fraction arithmetic, and is primitive
+    as built: for each prime p of d, the coordinate whose denominator holds
+    d's full power of p has d*x prime to p.
     """
-    fracs = []
-    for x in coords:
+    xs = list(coords)
+    for x in xs:
         if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
             raise InvalidVector(f"non-rational coordinate {x!r}")
-        fracs.append(Fraction(x))
-    d = 1
-    for f in fracs:
-        d = d * f.denominator // gcd(d, f.denominator)
-    return normalize((d, *(int(f * d) for f in fracs)))
+    if not xs:
+        raise InvalidVector("a point needs at least one coordinate")
+    d = lcm(*[x.denominator for x in xs])
+    return (d, *[x.numerator * (d // x.denominator) for x in xs])

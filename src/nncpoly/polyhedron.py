@@ -12,6 +12,7 @@ values.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .conversion import (
@@ -23,9 +24,9 @@ from .conversion import (
     conversion_g2c,
     emit_constraints,
     emit_generators,
+    skeleton,
 )
 from .errors import DimensionError, EmptySystem
-from .homvec import scalar_prod
 from .systems import ConKind, Constraint, GenKind, Generator, con_contains
 
 
@@ -140,29 +141,41 @@ class NncPolyhedron:
     def includes(self, other: "NncPolyhedron") -> bool:
         """Does this polyhedron contain every point of the other one?
 
-        Two cheap scalar-product passes: closure inclusion of the other's
-        skeleton, then a scan that no included piece of the other (a point,
-        or a filled face) lands inside a face this one excludes (a strict
-        row, or a support cut)."""
+        Two cheap scalar-product passes.  First, closure inclusion, read on
+        the two skeletons alone: every product of one of this set's
+        skeleton constraints with one of the other's skeleton generators is
+        zero when either row is singular, and nonnegative otherwise.  The
+        emitted views would add nothing: a materialized support, on either
+        side, is a positive multiple of a sum of skeleton rows, so its
+        products follow from its members', and the views leave out only
+        rows parallel to positivity, which give ``c0 * g0 >= 0`` against
+        every generator.  Second, a scan that no included piece of the
+        other (a point, or a filled face) lands inside a face this one
+        excludes (a strict row, or a support cut)."""
         if self.dim != other.dim:
             raise DimensionError("cannot compare polyhedra of different dimensions")
         if other.is_empty():
             return True
         if self.is_empty():
             return False
-        rows = self._constraint_view()
-        for g in other._generator_view():
-            for c in rows:
-                s = scalar_prod(c.row, g.row)
-                if c.kind is ConKind.EQUALITY or g.kind is GenKind.LINE:
-                    if s != 0:
-                        return False
-                elif s < 0:
+        con, gen = self.con_ctx(), other.gen_ctx()
+        eqs, ineqs = skeleton(con)
+        lines, gens = skeleton(gen)
+        for c in eqs:
+            for g in lines + gens:
+                if sum(map(mul, c, g)):
                     return False
-        excluded = atoms(self.con_ctx())
-        for piece in atoms(other.gen_ctx()):
+        for c in ineqs:
+            for g in lines:
+                if sum(map(mul, c, g)):
+                    return False
+            for g in gens:
+                if sum(map(mul, c, g)) < 0:
+                    return False
+        excluded = atoms(con)
+        for piece in atoms(gen):
             for ghost in excluded:
-                if all(scalar_prod(c, a) == 0 for c in ghost for a in piece):
+                if all(sum(map(mul, c, a)) == 0 for c in ghost for a in piece):
                     return False
         return True
 

@@ -13,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, InvalidVector
-from .homvec import Row, check_vector, normalize, rational_point_row, scalar_prod
+from .homvec import Row, check_vector, normalize, rational_point_row
 
 
 class ConKind(Enum):
@@ -70,16 +71,25 @@ class Generator:
 
 
 def con_contains(constraints: Iterable[Constraint], point: Sequence[Fraction | int]) -> bool:
-    """Exact membership of a rational point in con(constraints)."""
+    """Exact membership of a rational point in con(constraints).
+
+    The point becomes one integer row (``rational_point_row``), and each
+    constraint is one inline scalar product with it, tested by kind: zero
+    for an equality, nonnegative for a nonstrict row, positive for a
+    strict one.  A polyhedron's materialized support rows must be among
+    the constraints: a point can sit on every member of a support and
+    still be cut by it."""
     q = rational_point_row(point)
+    n = len(q)
+    equality, strict = ConKind.EQUALITY, ConKind.STRICT
     for c in constraints:
-        if len(c.row) != len(q):
+        row, kind = c.row, c.kind
+        if len(row) != n:
             raise DimensionError("constraint/point dimension mismatch")
-        s = scalar_prod(c.row, q)
-        if c.kind is ConKind.EQUALITY and s != 0:
-            return False
-        if c.kind is ConKind.NONSTRICT and s < 0:
-            return False
-        if c.kind is ConKind.STRICT and s <= 0:
+        s = sum(map(mul, row, q))
+        if s > 0:
+            if kind is equality:
+                return False
+        elif s < 0 or kind is strict:
             return False
     return True

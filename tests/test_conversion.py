@@ -25,6 +25,7 @@ from nncpoly.conversion import (
     init_con_ctx,
     process_row,
     promote_singletons,
+    skeleton,
     universe_gen_ctx,
 )
 from nncpoly.counting import OpCounters
@@ -53,6 +54,14 @@ def square_ctx(ns):
         cols=[{0, 3}, {0, 1}, {1, 2}, {2, 3}],
         ns=ns,
     )
+
+
+def test_skeleton_splits_the_singular_rows_off():
+    # lines first, then every other element in id order; a support adds
+    # no row of its own
+    ctx = universe_gen_ctx(2)
+    assert skeleton(ctx) == ([(0, 1, 0), (0, 0, 1)], [(1, 0, 0)])
+    assert skeleton(square_ctx([{0, 3}])) == ([], [(1, 0, 0), (1, 2, 0), (1, 2, 2), (1, 0, 2)])
 
 
 def test_move_support_across_nonstrict_cut():

@@ -1,3 +1,5 @@
+import random
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -89,6 +91,55 @@ def test_eliminate_zeroes_pivot_product():
 def test_rational_point_row_clears_denominators():
     assert rational_point_row([Fraction(1, 2), Fraction(2, 3)]) == (6, 3, 4)
     assert rational_point_row([1, 2]) == (1, 1, 2)
+
+
+def fraction_point_row(coords):
+    """``rational_point_row`` as built by Fraction arithmetic: the lcm of
+    the denominators, one Fraction product per coordinate, then a gcd
+    normalization."""
+    fracs = []
+    for x in coords:
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+            raise InvalidVector(f"non-rational coordinate {x!r}")
+        fracs.append(Fraction(x))
+    d = 1
+    for f in fracs:
+        d = d * f.denominator // gcd(d, f.denominator)
+    return normalize((d, *(int(f * d) for f in fracs)))
+
+
+def random_coordinate(rng: random.Random, ints_only: bool) -> int | Fraction:
+    u = rng.random()
+    if u < 0.2:
+        return 0
+    if ints_only or u < 0.5:
+        return rng.randint(-10**9, 10**9)
+    den = rng.choice([rng.randint(1, 12), rng.randint(1, 10**6)])
+    return Fraction(rng.randint(-10**7, 10**7), den)
+
+
+def test_rational_point_row_matches_fraction_arithmetic():
+    rng = random.Random(20261020)
+    for k in range(2000):
+        point = [random_coordinate(rng, k % 4 == 0) for _ in range(rng.randint(1, 7))]
+        assert rational_point_row(point) == fraction_point_row(point), point
+    assert rational_point_row([0, Fraction(0), 0]) == (1, 0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "bad", [True, False, 0.5, 1.0, Decimal("1"), Decimal("0.1"), "1", None, 1j]
+)
+def test_rational_point_row_refuses_non_rationals(bad):
+    for point in ([bad], [1, bad], [Fraction(1, 3), bad]):
+        with pytest.raises(InvalidVector):
+            rational_point_row(point)
+        with pytest.raises(InvalidVector):
+            fraction_point_row(point)
+
+
+def test_rational_point_row_refuses_an_empty_point():
+    with pytest.raises(InvalidVector):
+        rational_point_row([])
 
 
 coords = st.lists(st.integers(-50, 50), min_size=2, max_size=5)

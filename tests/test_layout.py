@@ -9,8 +9,9 @@ representation, int id masks, both engines run their pair loops through
 one adjacency kernel, the direct engine closes every face through one
 helper, every closure walks its columns through one function, neither
 engine keeps a record object per element, roles change and elements go
-by id mask, never one call per element in a loop, and the eps engine
-shares the direct engine's element store but not its step.
+by id mask, never one call per element in a loop, the eps engine
+shares the direct engine's element store but not its step, and no module
+keeps an import it never uses.
 """
 
 import ast
@@ -255,3 +256,46 @@ def test_traced_phases_exist():
             assert hasattr(owner, attr), f"{module}.{path}"
             owner = getattr(owner, attr)
         assert callable(owner), f"{module}.{path}"
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by a module-level import that the module never reads.
+    A read is a name in the code, in a quoted annotation, or in
+    ``__all__``."""
+    bound: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update({(a.asname or a.name.split(".")[0]): node.lineno for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update({(a.asname or a.name): node.lineno for a in node.names})
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        for ann in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                read |= _names(ast.parse(ann.value, mode="eval"))
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= {e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant)}
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in read]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_unused_imports(path):
+    # an import left behind by a rewrite reads as a dependency the module
+    # no longer has (and keeps the tracer patching a dead binding)
+    unused = _unused_imports(_tree(path))
+    assert not unused, f"{path.name} never uses {', '.join(unused)}"
+
+
+def test_the_unused_import_check_sees_what_it_should():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from .homvec import Row, scalar_prod, normalize as norm\n"
+        "from .systems import Constraint\n"
+        "__all__ = ['norm']\n"
+        "def f(x: 'Constraint') -> Row:\n"
+        "    return x\n"
+    )
+    assert _unused_imports(ast.parse(source)) == ["os (line 2)", "scalar_prod (line 3)"]

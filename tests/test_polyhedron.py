@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 
 from nncpoly import ConKind, Constraint, GenKind, Generator, NncPolyhedron
-from nncpoly.conversion import close_generators, emit_generators, universe_gen_ctx
+from nncpoly.conversion import atoms, close_generators, emit_generators, universe_gen_ctx
 from nncpoly.errors import DimensionError, EmptySystem, InvalidVector
+from nncpoly.homvec import scalar_prod
 from nncpoly.oracle import full_gen_contains, gen_contains
 from nncpoly.systems import con_contains
 
-from corpus import CUT_VERTEX_GENS, nnc_corpus, wide_corpus
+from corpus import CUT_VERTEX_GENS, closed_corpus, nnc_corpus, wide_corpus
 
 
 def interval(lo_strict: bool, hi_strict: bool) -> NncPolyhedron:
@@ -207,6 +208,50 @@ def corpus_pairs() -> list[tuple[NncPolyhedron, NncPolyhedron]]:
         else:
             waiting[dim] = p
     return out
+
+
+def points_of(p: NncPolyhedron) -> list[list[Fraction]]:
+    """The points of the generator view, materialized support points
+    included, as coordinate lists."""
+    return [
+        [Fraction(a, g.row[0]) for a in g.row[1:]]
+        for g in p.generators()
+        if g.kind is GenKind.POINT
+    ]
+
+
+def test_hull_is_commutative_and_idempotent():
+    for p, q in corpus_pairs():
+        assert p.poly_hull(q).equals(q.poly_hull(p))
+        assert p.poly_hull(p).equals(p)
+
+
+def test_hull_includes_both_operands():
+    for p, q in corpus_pairs():
+        hull = p.poly_hull(q)
+        assert hull.includes(p) and hull.includes(q)
+
+
+def test_meet_lies_in_both_operands():
+    for p, q in corpus_pairs():
+        meet = p.intersect(q)
+        assert p.includes(meet) and q.includes(meet)
+
+
+def test_inclusion_agrees_with_the_points_it_covers():
+    # whenever a includes b, each point of b, a support's point included,
+    # passes a's exact membership test; checked over every ordered pair of
+    # a corpus pair, its hull and its meet
+    checked = 0
+    for p, q in corpus_pairs():
+        family = [p, q, p.poly_hull(q), p.intersect(q)]
+        for a in family:
+            for b in family:
+                if a.includes(b):
+                    for x in points_of(b):
+                        assert a.contains_point(x), (a.constraints(), b.generators(), x)
+                        checked += 1
+    assert checked > 800
 
 
 def test_closure_distributes_over_hull():
@@ -423,3 +468,80 @@ def test_generator_order_does_not_change_the_result():
 
 def test_repr_mentions_dim():
     assert "2" in repr(NncPolyhedron.universe(2))
+
+
+# -- includes against its emitted-view definition ----------------------------
+
+
+def includes_by_views(a: NncPolyhedron, b: NncPolyhedron) -> bool:
+    """``includes`` as it read the emitted views: closure inclusion of every
+    generator of b, materialized support points included, in every
+    constraint of a, support rows included; then the excluded-face scan."""
+    if b.is_empty():
+        return True
+    if a.is_empty():
+        return False
+    for g in b.generators():
+        for c in a.constraints():
+            s = scalar_prod(c.row, g.row)
+            if c.kind is ConKind.EQUALITY or g.kind is GenKind.LINE:
+                if s != 0:
+                    return False
+            elif s < 0:
+                return False
+    excluded = atoms(a.con_ctx())
+    for piece in atoms(b.gen_ctx()):
+        for ghost in excluded:
+            if all(scalar_prod(c, x) == 0 for c in ghost for x in piece):
+                return False
+    return True
+
+
+def differential_family() -> dict[int, list[NncPolyhedron]]:
+    """Per dimension, the first 40 systems of ``nnc_corpus() +
+    closed_corpus()`` and the hulls of their 20 consecutive pairs."""
+    family: dict[int, list[NncPolyhedron]] = {}
+    for dim, rows in nnc_corpus() + closed_corpus():
+        polys = family.setdefault(dim, [])
+        if len(polys) < 40:
+            polys.append(NncPolyhedron.from_constraints(rows, dim=dim))
+    for polys in family.values():
+        polys += [polys[i].poly_hull(polys[i + 1]) for i in range(0, 40, 2)]
+    return family
+
+
+def test_includes_matches_its_emitted_view_definition():
+    family = differential_family()
+    assert sorted(family) == [1, 2, 3, 4]
+    verdicts = []
+    for polys in family.values():
+        assert len(polys) == 60
+        for a in polys:
+            for b in polys:
+                verdict = a.includes(b)
+                assert verdict == includes_by_views(a, b), (a.constraints(), b.generators())
+                verdicts.append(verdict)
+    assert len(verdicts) == 14400
+    # both answers come up often, so a wrong answer either way would show
+    assert min(verdicts.count(True), verdicts.count(False)) > 2000
+
+
+def test_includes_with_lines_and_equalities():
+    on_axis = NncPolyhedron.from_constraints([Constraint((0, 1, 0), ConKind.EQUALITY)])
+    x_axis = NncPolyhedron.from_generators(
+        [Generator((1, 0, 0), GenKind.POINT), Generator((0, 1, 0), GenKind.LINE)]
+    )
+    closed = NncPolyhedron.from_constraints([Constraint((0, 1, 0), ConKind.NONSTRICT)])
+    open_ = NncPolyhedron.from_constraints([Constraint((0, 1, 0), ConKind.STRICT)])
+    universe, empty = NncPolyhedron.universe(2), NncPolyhedron.empty(2)
+    family = [on_axis, x_axis, closed, open_, universe, empty]
+    for a in family:
+        for b in family:
+            assert a.includes(b) == includes_by_views(a, b), (a, b)
+    assert closed.includes(on_axis) and closed.includes(open_)
+    assert not open_.includes(on_axis) and not open_.includes(closed)
+    assert not on_axis.includes(x_axis) and not x_axis.includes(on_axis)
+    assert not closed.includes(x_axis) and not x_axis.includes(closed)
+    assert x_axis.equals(NncPolyhedron.from_constraints([Constraint((0, 0, 1), ConKind.EQUALITY)]))
+    assert all(universe.includes(p) and p.includes(empty) for p in family)
+    assert not any(p.includes(universe) for p in family if p is not universe)

@@ -79,6 +79,21 @@ def test_con_contains_equality():
     assert not con_contains(cs, [2, 1])
 
 
+@pytest.mark.parametrize(
+    "kind, verdicts",
+    [
+        (ConKind.EQUALITY, (False, True, False)),
+        (ConKind.NONSTRICT, (False, True, True)),
+        (ConKind.STRICT, (False, False, True)),
+    ],
+)
+def test_con_contains_reads_the_sign_by_kind(kind, verdicts):
+    # the row 3x - 1 against points below, on and above x = 1/3
+    cs = [Constraint((-1, 3), kind)]
+    xs = [Fraction(-1, 7), Fraction(1, 3), Fraction(2, 5)]
+    assert tuple(con_contains(cs, [x]) for x in xs) == verdicts
+
+
 def test_con_contains_rejects_a_point_of_another_dimension():
     with pytest.raises(DimensionError):
         con_contains([Constraint((0, 1, -1), ConKind.EQUALITY)], [2])
